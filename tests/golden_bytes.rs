@@ -1,0 +1,248 @@
+//! Golden byte snapshot of the deterministic outputs of the serving,
+//! tracing and closed-loop entry points.
+//!
+//! Each test drives one public entry point at tiny scale with a fixed
+//! seed and FNV-1a-hashes what it emits: the experiment JSON documents,
+//! the streamed Perfetto timelines, the online-aggregate JSON, and the
+//! simulated fields of closed-loop `RunReport`s. The constants were
+//! recorded once; a refactor that claims "same bytes" must leave every
+//! one of them unchanged. A mismatch prints the new digest.
+
+use std::cell::RefCell;
+use std::io::Write;
+use std::rc::Rc;
+
+use recross_bench::experiments::run_all;
+use recross_bench::runtrace::closed_loop_trace_with;
+use recross_bench::serving::{self, TraceOptions};
+use recross_bench::workloads::{dram, generator, Scale};
+use recross_nmp::RunReport;
+use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
+
+const SEED: u64 = 7;
+
+/// 64-bit FNV-1a.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    fn bytes(&mut self, data: &[u8]) -> &mut Self {
+        for &b in data {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn f64(&mut self, v: f64) -> &mut Self {
+        self.u64(v.to_bits())
+    }
+}
+
+fn of_str(s: &str) -> u64 {
+    Fnv::default().bytes(s.as_bytes()).0
+}
+
+/// A writer keeping only the byte count and digest of a streamed trace.
+#[derive(Debug, Clone, Default)]
+struct HashWriter(Rc<RefCell<(u64, Fnv)>>);
+
+impl HashWriter {
+    fn digest(&self) -> (u64, u64) {
+        let inner = self.0.borrow();
+        (inner.0, inner.1 .0)
+    }
+}
+
+impl Write for HashWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut inner = self.0.borrow_mut();
+        inner.0 += buf.len() as u64;
+        inner.1.bytes(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Streamed, aggregated, unbuffered: the options `repro` uses for a
+/// traced run that writes a timeline file.
+fn streaming(w: &HashWriter) -> TraceOptions {
+    TraceOptions {
+        stream: Some(Box::new(w.clone())),
+        agg: true,
+        buffered: false,
+    }
+}
+
+fn two_tenants() -> TenantMix {
+    TenantMix::new(vec![
+        TenantClass::new("rt", 0.7, TenantProcess::Poisson, 200.0, Priority::High),
+        TenantClass::new("batch", 0.3, TenantProcess::Bursty, 5_000.0, Priority::Low),
+    ])
+}
+
+/// Compares every `(name, got, want)` and reports all mismatches at once.
+fn check(results: &[(&str, u64, u64)]) {
+    let bad: Vec<String> = results
+        .iter()
+        .filter(|(_, got, want)| got != want)
+        .map(|(name, got, want)| format!("{name}: got {got:#018x}, want {want:#018x}"))
+        .collect();
+    assert!(bad.is_empty(), "golden bytes moved:\n{}", bad.join("\n"));
+}
+
+#[test]
+fn sweep_documents_match_golden() {
+    let sweeps = serving::qps_sweep_at(Scale::Tiny, &[0.4, 2.0], false, QueuePolicy::Fifo, SEED);
+    let sweep = serving::sweep_to_json(&sweeps, Scale::Tiny, false, QueuePolicy::Fifo, SEED);
+    let mix = two_tenants();
+    let tenant = serving::tenant_sweep_at(Scale::Tiny, &mix, &[0.8], QueuePolicy::Edf, SEED);
+    let tenant = serving::tenant_sweep_to_json(&tenant, Scale::Tiny, &mix, QueuePolicy::Edf, SEED);
+    check(&[
+        ("sweep_to_json", of_str(&sweep), 0x5db0_2455_f2b7_6c86),
+        (
+            "tenant_sweep_to_json",
+            of_str(&tenant),
+            0x7220_fc21_850c_1dbe,
+        ),
+    ]);
+}
+
+#[test]
+fn slo_documents_match_golden() {
+    let slo = serving::slo_search_at(Scale::Tiny, false, QueuePolicy::Fifo, SEED, 200.0, 4);
+    let slo = serving::slo_to_json(&slo, Scale::Tiny, false, QueuePolicy::Fifo, SEED);
+    let mix = two_tenants();
+    let tenant = serving::tenant_slo_search_at(Scale::Tiny, &mix, QueuePolicy::Edf, SEED, 4);
+    let tenant = serving::tenant_slo_to_json(&tenant, Scale::Tiny, &mix, QueuePolicy::Edf, SEED);
+    check(&[
+        ("slo_to_json", of_str(&slo), 0x2b80_3c83_b19b_f668),
+        ("tenant_slo_to_json", of_str(&tenant), 0x4f21_e721_bfcd_e578),
+    ]);
+}
+
+/// `(report digest, timeline bytes, timeline digest, aggregates digest)`
+/// of one streamed traced point.
+fn traced_point(mix: Option<&TenantMix>, load: f64, policy: QueuePolicy) -> [u64; 4] {
+    let out = HashWriter::default();
+    let p = serving::traced_point_with(
+        Scale::Tiny,
+        "ReCross",
+        mix,
+        load,
+        false,
+        policy,
+        SEED,
+        true,
+        streaming(&out),
+    )
+    .expect("hashing writer cannot fail");
+    let json = serving::traced_point_to_json(&p, Scale::Tiny, mix, false, policy, SEED);
+    let agg = p.agg.as_ref().expect("agg enabled").to_json();
+    let (bytes, timeline) = out.digest();
+    [of_str(&json), bytes, timeline, of_str(&agg)]
+}
+
+#[test]
+fn traced_points_match_golden() {
+    let [json, bytes, timeline, agg] = traced_point(None, 0.8, QueuePolicy::Fifo);
+    let mix = two_tenants();
+    let [t_json, t_bytes, t_timeline, t_agg] = traced_point(Some(&mix), 1.2, QueuePolicy::Edf);
+    check(&[
+        ("traced_point_to_json", json, 0xbd13_33b6_18a8_b31e),
+        ("traced point timeline bytes", bytes, 4_727_079),
+        ("traced point timeline", timeline, 0x7078_b16a_c126_3e57),
+        ("traced point aggregates", agg, 0x6e7c_0035_958d_aff4),
+        ("tenant traced_point_to_json", t_json, 0x951c_745d_5845_08a4),
+        ("tenant traced point timeline bytes", t_bytes, 4_752_863),
+        (
+            "tenant traced point timeline",
+            t_timeline,
+            0xe62a_7fe3_8b6f_748d,
+        ),
+        (
+            "tenant traced point aggregates",
+            t_agg,
+            0x4a68_94f8_7b62_f6bf,
+        ),
+    ]);
+}
+
+#[test]
+fn run_trace_matches_golden() {
+    let out = HashWriter::default();
+    let rt = closed_loop_trace_with(Scale::Tiny, "ReCross", SEED, 0, streaming(&out))
+        .expect("hashing writer cannot fail");
+    let json = rt.to_json(Scale::Tiny, SEED);
+    let agg = rt.aggregates().expect("agg enabled").to_json();
+    let (bytes, timeline) = out.digest();
+    check(&[
+        ("RunTrace::to_json", of_str(&json), 0x2109_5fd2_666a_f814),
+        ("run timeline bytes", bytes, 315_451),
+        ("run timeline", timeline, 0x885b_ce89_bd84_e992),
+        ("run aggregates", of_str(&agg), 0x37bd_8ed8_ece8_1d91),
+    ]);
+}
+
+/// Digest of every simulated `RunReport` field, in order.
+fn of_run_reports(reports: &[RunReport]) -> u64 {
+    let mut h = Fnv::default();
+    for r in reports {
+        h.bytes(r.name.as_bytes())
+            .u64(r.cycles)
+            .f64(r.ns)
+            .u64(r.lookups)
+            .u64(r.ops);
+        let e = &r.energy;
+        h.f64(e.act_pj)
+            .f64(e.rd_wr_pj)
+            .f64(e.io_pj)
+            .f64(e.pe_pj)
+            .f64(e.static_pj);
+        let c = &r.counters;
+        h.u64(c.activations)
+            .u64(c.refreshes)
+            .u64(c.rd_wr_bits)
+            .u64(c.io_bits)
+            .u64(c.fp_adds)
+            .u64(c.fp_muls);
+        let i = &r.imbalance;
+        h.f64(i.mean).f64(i.p50).f64(i.p90).f64(i.max);
+        h.f64(r.row_hit_rate).u64(r.node_loads.len() as u64);
+        for &l in &r.node_loads {
+            h.u64(l);
+        }
+        h.u64(r.cache_hits);
+        for l in [&r.op_latency, &r.batch_latency] {
+            h.f64(l.mean).u64(l.p50).u64(l.p90).u64(l.p99).u64(l.max);
+        }
+        h.u64(r.commands.as_ref().map_or(0, |c| c.len() as u64));
+    }
+    h.0
+}
+
+#[test]
+fn run_all_reports_match_golden() {
+    // Four batches, so the per-batch latency summary has a spread.
+    let g = generator(Scale::Tiny, 64).batches(4);
+    let trace = g.generate(SEED);
+    let reports = run_all(&g, &trace, &dram());
+    check(&[(
+        "run_all RunReports",
+        of_run_reports(&reports),
+        0xed68_b807_9991_22cc,
+    )]);
+}
