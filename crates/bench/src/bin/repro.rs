@@ -7,12 +7,12 @@
 //! repro [--quick] serve [--qps-sweep] [--bursty] [--sjf|--edf] [--seed=N] [--out=FILE]
 //! repro [--quick] serve --slo-search [--slo-p99=US] [--bursty] [--sjf|--edf] [--seed=N] [--out=FILE]
 //! repro [--quick] serve --tenants=SPEC [--slo-search] [--fifo|--sjf] [--seed=N] [--out=FILE]
-//! repro [--quick] serve --trace-out=FILE [--obs-summary[=FILE]] [--arch=cpu|recross] [--load=F] [--timeline-only] [...]
-//! repro [--quick] serve --trace-stream=FILE [--agg-out=FILE] [--arch=cpu|recross] [--load=F] [--timeline-only] [...]
-//! repro [--quick] serve --slo-search --trace-stream=FILE [--agg-out=FILE] [...]
-//! repro [--quick] run [--arch=cpu|recross] [--seed=N] [--trace-out=FILE] [--dram-trace=FILE] [--obs-summary[=FILE]] [--out=FILE]
-//! repro [--quick] run --trace-stream=FILE [--agg-out=FILE] [--arch=cpu|recross] [--seed=N] [--out=FILE]
+//! repro [--quick] serve --trace-out=FILE [--agg-out=FILE] [--obs-summary[=FILE]] [--arch=cpu|recross] [--load=F] [--timeline-only] [...]
+//! repro [--quick] run [--arch=cpu|recross] [--seed=N] [--trace-out=FILE] [--agg-out=FILE] [--obs-summary[=FILE]] [--out=FILE]
 //! ```
+//!
+//! An unknown flag, a removed flag, or a value flag without its `=VALUE`
+//! exits with status 2 and one line on stderr.
 //!
 //! `--quick` runs the 1/100-scale workload (seconds instead of minutes);
 //! the default is the paper-scale Criteo-Kaggle workload. `serve` runs the
@@ -36,46 +36,42 @@
 //! `--slo-search` the bisection finds the max *aggregate* QPS at which
 //! every tenant meets its own p99 deadline.
 //!
-//! `--trace-out=FILE` switches `serve` to the traced single-point mode:
-//! one architecture (`--arch`, default recross) serves one offered-load
-//! point (`--load` × estimated capacity, default 0.9) through the
-//! cross-layer tracer, writing a unified Perfetto timeline — tenant
-//! request lanes, per-channel batch spans and queue-depth gauges, down
-//! to per-bank DRAM commands — to `FILE` (load it in
-//! <https://ui.perfetto.dev>). `--obs-summary` (alone or `=FILE`) emits
-//! the deterministic `ObsReport` JSON with per-channel busy/idle
-//! fractions, queue-depth percentiles, and DRAM bottleneck attribution;
+//! `--trace-out=FILE`, `--agg-out=FILE` and `--obs-summary` switch `serve`
+//! to the traced single-point mode: one architecture (`--arch`, default
+//! recross) serves one offered-load point (`--load` × estimated capacity,
+//! default 0.9) through the cross-layer tracer. `--trace-out` streams a
+//! unified Perfetto timeline — tenant request lanes, per-channel batch
+//! spans and queue-depth gauges, down to per-bank DRAM commands — to
+//! `FILE` while the simulation runs (load it in
+//! <https://ui.perfetto.dev>); no event buffer is retained, so long runs
+//! stay flat in memory. `--agg-out` runs the online aggregation engine
+//! alongside (per-tenant queue/service histograms, per-channel busy
+//! fractions, span-duration stats, gauge percentiles) and writes its
+//! deterministic JSON. `--obs-summary` (alone or `=FILE`) emits the
+//! deterministic `ObsReport` JSON with per-channel busy/idle fractions,
+//! queue-depth percentiles, and DRAM bottleneck attribution;
 //! `--timeline-only` skips the per-command bank tracks. The traced run's
 //! `"serve"` section is byte-identical to an untraced run of the same
-//! seed — tracing never perturbs the simulation.
-//!
-//! `--trace-stream=FILE` is the bounded-memory sibling of `--trace-out`:
-//! the same Perfetto timeline, written incrementally to `FILE` *while*
-//! the simulation runs instead of buffered in memory first — the bytes
-//! are identical, but the resident event buffer never grows past a fixed
-//! chunk, so long runs stay flat. It conflicts with `--trace-out` (pick
-//! one). `--agg-out=FILE` runs the online aggregation engine alongside
-//! (per-tenant queue/service histograms, per-channel busy fractions,
-//! span-duration stats, gauge percentiles, computed without retaining
-//! events) and writes its deterministic JSON to `FILE`. Uniquely among
-//! the tracing flags, `--trace-stream`/`--agg-out` compose with
-//! `--slo-search`: the search runs untraced as usual, then the found
-//! max-QPS point is re-served fully traced through the streaming path.
+//! seed — tracing never perturbs the simulation. With `--slo-search` the
+//! search runs untraced as usual, then the found max-QPS point of
+//! `--arch` is re-served through the same traced-point code.
 //!
 //! `run` is the closed-loop sibling (not part of `all`): the standard
 //! fixed trace runs batch-by-batch on one architecture, and the full
-//! DRAM command stream is captured. `--trace-out` writes the unified
-//! timeline, `--dram-trace` writes the original bank-tracks-only Chrome
-//! trace, `--obs-summary` emits the attribution JSON. `--trace-stream`
-//! and `--agg-out` work as for `serve`; `--trace-stream` drops the
-//! retained command vector too (attribution folds incrementally), so it
-//! conflicts with `--dram-trace` as well as `--trace-out`.
+//! DRAM command stream is traced. `--trace-out` streams the unified
+//! timeline, `--agg-out` writes the online aggregates, and
+//! `--obs-summary` emits the attribution JSON (folded incrementally, so no
+//! command is retained).
 
 use recross_bench::experiments as exp;
 use recross_bench::workloads::{dram, standard_trace, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = recross_bench::cli::check_flags(&args) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Paper };
     let what: Vec<&str> = args
@@ -185,10 +181,6 @@ fn main() {
         training(scale);
         ran = true;
     }
-    if want("serving") {
-        serving(scale);
-        ran = true;
-    }
     if what.contains(&"serve") {
         serve(scale, &args);
         ran = true;
@@ -200,8 +192,8 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment {:?}; expected fig3..fig15, table2, table3, \
-             overheads, headline, inst, channels, ddr4, training, serving, \
-             serve, run, all",
+             overheads, headline, inst, channels, ddr4, training, serve, run, \
+             all",
             what
         );
         std::process::exit(2);
@@ -438,17 +430,6 @@ fn training(scale: Scale) {
     }
 }
 
-fn serving(scale: Scale) {
-    banner("Beyond-paper: open-loop serving latency (batch arrivals at fixed interval)");
-    println!(
-        "{:<10} {:>16} {:>12} {:>12}",
-        "arch", "interval (cyc)", "p50 latency", "p99 latency"
-    );
-    for (arch, interval, p50, p99) in exp::serving_latency(scale) {
-        println!("{arch:<10} {interval:>16} {p50:>12} {p99:>12}");
-    }
-}
-
 fn serve(scale: Scale, args: &[String]) {
     use recross_bench::cli;
     use recross_serve::QueuePolicy;
@@ -483,29 +464,12 @@ fn serve(scale: Scale, args: &[String]) {
     let out = cli::value_of(args, "--out");
 
     let slo = args.iter().any(|a| a == "--slo-search");
-    let streaming =
-        cli::value_of(args, "--trace-stream").is_some() || cli::value_of(args, "--agg-out").is_some();
-    if cli::value_of(args, "--trace-stream").is_some() && cli::value_of(args, "--trace-out").is_some()
-    {
-        fail(
-            "--trace-out buffers the whole timeline in memory; --trace-stream \
-             writes it incrementally — pick one"
-                .to_string(),
-        );
-    }
     let traced = cli::value_of(args, "--trace-out").is_some()
-        || streaming
+        || cli::value_of(args, "--agg-out").is_some()
         || cli::parse_obs_summary(args) != cli::ObsSummary::Off;
-    if traced && slo && !streaming {
-        fail(
-            "--trace-out/--obs-summary trace a single serving point; \
-             they conflict with --slo-search (use --trace-stream/--agg-out \
-             to trace the found max-QPS point)"
-                .to_string(),
-        );
-    }
     let json = if traced && !slo {
-        serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, args)
+        let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
+        serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, load, args)
     } else {
         let (json, rates) = match (&tenants, slo) {
             (Some(mix), true) => serve_tenant_slo(scale, mix, policy, seed),
@@ -513,8 +477,21 @@ fn serve(scale: Scale, args: &[String]) {
             (None, true) => serve_slo_search(scale, bursty, policy, seed, slo_p99_us),
             (None, false) => (serve_qps_sweep(scale, bursty, policy, seed), Vec::new()),
         };
-        if slo && streaming {
-            serve_slo_stream_rerun(scale, tenants.as_ref(), bursty, policy, seed, &rates, args);
+        if traced {
+            // Re-serve the found max-QPS point traced. `rates` carries
+            // `(arch, max_qps, bracket_hi_qps)` per searched architecture;
+            // the capacity estimate is the bracket's `hi / 2`.
+            let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
+            let (_, max_qps, bracket_hi) = rates
+                .iter()
+                .find(|(a, _, _)| a == arch)
+                .unwrap_or_else(|| fail(format!("search produced no rate for {arch}")));
+            if *max_qps > 0.0 {
+                let load = max_qps / (bracket_hi / 2.0);
+                serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, load, args);
+            } else {
+                println!("{arch}: no SLO-compliant rate in bracket; nothing to trace");
+            }
         }
         json
     };
@@ -550,7 +527,7 @@ fn emit_obs_summary(args: &[String], json: &str) {
     }
 }
 
-/// Opens the `--trace-stream` target for incremental writing (exit 2 on
+/// Opens the `--trace-out` target for incremental writing (exit 2 on
 /// failure).
 fn open_stream(path: &str) -> Box<dyn std::io::Write> {
     match std::fs::File::create(path) {
@@ -580,12 +557,15 @@ fn recorder_stats_line(heap: usize, sinks: &[recross_obs::SinkStats]) -> String 
     )
 }
 
+/// Serves one traced point at `load` × capacity, writes the requested
+/// artifacts, and returns the point's JSON document.
 fn serve_trace_point(
     scale: Scale,
     mix: Option<&recross_serve::TenantMix>,
     bursty: bool,
     policy: recross_serve::QueuePolicy,
     seed: u64,
+    load: f64,
     args: &[String],
 ) -> String {
     use recross_bench::{cli, serving};
@@ -595,17 +575,15 @@ fn serve_trace_point(
         std::process::exit(2);
     };
     let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
-    let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
     let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
-    let stream = cli::value_of(args, "--trace-stream");
+    let trace_out = cli::value_of(args, "--trace-out");
     let agg_out = cli::value_of(args, "--agg-out");
 
     banner("recross-obs: traced serving point (request lanes down to DRAM commands)");
     let opts = serving::TraceOptions {
-        stream: stream.map(open_stream),
+        stream: trace_out.map(open_stream),
         agg: agg_out.is_some(),
-        // Streaming runs drop the in-memory buffer: that is the point.
-        buffered: stream.is_none(),
+        buffered: false,
     };
     let p = serving::traced_point_with(
         scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
@@ -644,12 +622,8 @@ fn serve_trace_point(
         }
     }
     println!("{}", recorder_stats_line(p.obs.heap_capacity, &p.obs.sinks));
-    if let Some(path) = cli::value_of(args, "--trace-out") {
-        let perfetto = p.perfetto.as_deref().expect("buffered run keeps the timeline");
-        write_artifact(path, perfetto, "Perfetto timeline (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
+    if let Some(path) = trace_out {
+        println!("wrote Perfetto timeline {path} (open in https://ui.perfetto.dev)");
     }
     if let Some(path) = agg_out {
         let agg = p.agg.as_ref().expect("agg enabled by --agg-out");
@@ -657,73 +631,6 @@ fn serve_trace_point(
     }
     emit_obs_summary(args, &p.obs.to_json());
     serving::traced_point_to_json(&p, scale, mix, bursty, policy, seed)
-}
-
-/// The `--slo-search --trace-stream/--agg-out` composition: the search
-/// already ran untraced; re-serve the found max-QPS point for the
-/// selected architecture through the streaming tracer. `rates` carries
-/// `(arch, max_qps, bracket_hi_qps)` per searched architecture; the
-/// capacity estimate is recovered from the bracket (`hi = 2 × capacity`).
-fn serve_slo_stream_rerun(
-    scale: Scale,
-    mix: Option<&recross_serve::TenantMix>,
-    bursty: bool,
-    policy: recross_serve::QueuePolicy,
-    seed: u64,
-    rates: &[(String, f64, f64)],
-    args: &[String],
-) {
-    use recross_bench::{cli, serving};
-
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
-    let (_, max_qps, bracket_hi) = rates
-        .iter()
-        .find(|(a, _, _)| a == arch)
-        .unwrap_or_else(|| fail(format!("search produced no rate for {arch}")));
-    if *max_qps <= 0.0 {
-        println!("{arch}: no SLO-compliant rate in bracket; skipping traced re-run");
-        return;
-    }
-    let capacity = bracket_hi / 2.0;
-    let load = max_qps / capacity;
-    let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
-    let stream = cli::value_of(args, "--trace-stream");
-    let agg_out = cli::value_of(args, "--agg-out");
-
-    banner("recross-obs: streamed re-run of the found max-QPS point");
-    let opts = serving::TraceOptions {
-        stream: stream.map(open_stream),
-        agg: agg_out.is_some(),
-        buffered: false,
-    };
-    let p = serving::traced_point_with(
-        scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
-    )
-    .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
-    println!(
-        "{}: re-served {:.0} qps ({:.2}x of {:.0} capacity qps): \
-         {} completed, {} late, {} queue-shed, {} deadline-shed",
-        p.arch,
-        p.offered_qps,
-        p.load,
-        p.capacity_qps,
-        p.obs.completed,
-        p.obs.late,
-        p.obs.queue_shed,
-        p.obs.deadline_shed
-    );
-    println!("{}", recorder_stats_line(p.obs.heap_capacity, &p.obs.sinks));
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = agg_out {
-        let agg = p.agg.as_ref().expect("agg enabled by --agg-out");
-        write_artifact(path, &format!("{}\n", agg.to_json()), "online aggregates");
-    }
 }
 
 fn run_traced(scale: Scale, args: &[String]) {
@@ -735,28 +642,14 @@ fn run_traced(scale: Scale, args: &[String]) {
     };
     let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let seed = cli::parse_seed(args).unwrap_or_else(|e| fail(e));
-    let stream = cli::value_of(args, "--trace-stream");
+    let trace_out = cli::value_of(args, "--trace-out");
     let agg_out = cli::value_of(args, "--agg-out");
-    if stream.is_some() && cli::value_of(args, "--trace-out").is_some() {
-        fail(
-            "--trace-out buffers the whole timeline in memory; --trace-stream \
-             writes it incrementally — pick one"
-                .to_string(),
-        );
-    }
-    if stream.is_some() && cli::value_of(args, "--dram-trace").is_some() {
-        fail(
-            "--dram-trace needs the retained command vector, which \
-             --trace-stream deliberately drops — pick one"
-                .to_string(),
-        );
-    }
 
     banner("recross-obs: closed-loop traced run (engine batches down to DRAM commands)");
     let opts = recross_bench::serving::TraceOptions {
-        stream: stream.map(open_stream),
+        stream: trace_out.map(open_stream),
         agg: agg_out.is_some(),
-        buffered: stream.is_none(),
+        buffered: false,
     };
     let rt = runtrace::closed_loop_trace_with(scale, arch, seed, 0, opts)
         .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
@@ -772,15 +665,8 @@ fn run_traced(scale: Scale, args: &[String]) {
     println!("{}", rt.summary_line());
     let (heap, sinks) = rt.recorder_stats();
     println!("{}", recorder_stats_line(heap, &sinks));
-    if let Some(path) = cli::value_of(args, "--trace-out") {
-        let perfetto = rt.perfetto().expect("buffered capture keeps the timeline");
-        write_artifact(path, &perfetto, "Perfetto timeline (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = stream {
-        println!("wrote streamed Perfetto timeline {path} (open in https://ui.perfetto.dev)");
-    }
-    if let Some(path) = cli::value_of(args, "--dram-trace") {
-        write_artifact(path, &rt.dram_chrome_trace(), "DRAM command trace");
+    if let Some(path) = trace_out {
+        println!("wrote Perfetto timeline {path} (open in https://ui.perfetto.dev)");
     }
     if let Some(path) = agg_out {
         let agg = rt.aggregates().expect("agg enabled by --agg-out");

@@ -1,9 +1,11 @@
-//! Flag parsing for the `repro` binary's `serve` experiment.
+//! Flag parsing for the `repro` binary.
 //!
 //! The binary's convention: a malformed option prints one clear line to
 //! stderr and exits with status 2. Keeping the parsing here, returning
 //! `Result<_, String>` with the exact message, makes every error path unit
-//! testable without spawning the binary.
+//! testable without spawning the binary. [`check_flags`] runs first, so an
+//! unknown, removed or value-less flag never silently selects a different
+//! command.
 //!
 //! The `--tenants` grammar is documented on [`parse_tenants`].
 
@@ -15,6 +17,69 @@ pub const DEFAULT_SEED: u64 = 0x5E21;
 /// Default `--slo-p99` bound in microseconds when `--slo-search` is
 /// requested without one.
 pub const DEFAULT_SLO_P99_US: f64 = 100.0;
+
+/// Flags that take no value.
+const SWITCHES: &[&str] = &[
+    "--quick",
+    "--qps-sweep",
+    "--bursty",
+    "--fifo",
+    "--sjf",
+    "--edf",
+    "--slo-search",
+    "--timeline-only",
+];
+
+/// Flags that need `=VALUE`, with the value's placeholder.
+const VALUED: &[(&str, &str)] = &[
+    ("--seed", "N"),
+    ("--out", "FILE"),
+    ("--slo-p99", "US"),
+    ("--tenants", "SPEC"),
+    ("--arch", "cpu|recross"),
+    ("--load", "F"),
+    ("--trace-out", "FILE"),
+    ("--agg-out", "FILE"),
+];
+
+/// Removed flags and what replaces them.
+const REMOVED: &[(&str, &str)] = &[
+    ("--trace-stream", "--trace-out=FILE, which now streams"),
+    (
+        "--dram-trace",
+        "--trace-out=FILE, whose timeline carries the same per-bank tracks",
+    ),
+];
+
+/// Rejects every `--flag` argument that is unknown, removed, missing its
+/// `=VALUE`, or given a value it does not take. `--obs-summary` is valid
+/// bare or as `--obs-summary=FILE`.
+pub fn check_flags(args: &[String]) -> Result<(), String> {
+    for arg in args.iter().filter(|a| a.starts_with("--")) {
+        let (name, value) = match arg.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (arg.as_str(), None),
+        };
+        if let Some((_, instead)) = REMOVED.iter().find(|(r, _)| *r == name) {
+            return Err(format!("{name} was removed; use {instead}"));
+        }
+        if name == "--obs-summary" {
+            continue;
+        }
+        if SWITCHES.contains(&name) {
+            if value.is_some() {
+                return Err(format!("{name} takes no value, got {arg:?}"));
+            }
+        } else if let Some((_, placeholder)) = VALUED.iter().find(|(v, _)| *v == name) {
+            if value.is_none() {
+                return Err(format!("{name} needs a value: {name}={placeholder}"));
+            }
+        } else {
+            return Err(format!("unknown flag {name}"));
+        }
+    }
+    Ok(())
+}
 
 /// The value of a `--key=value` option, if present (last wins).
 pub fn value_of<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -321,6 +386,59 @@ mod tests {
         assert!(err("rt:0.7:poisson:200us:urgent").contains("high|normal|low"));
         assert!(err("rt:1:poisson:200us:high,rt:1:poisson:300us:low")
             .contains("duplicate tenant name"));
+    }
+
+    #[test]
+    fn check_flags_accepts_every_documented_form() {
+        assert_eq!(check_flags(&args(&["--quick", "table2"])), Ok(()));
+        let serve = args(&[
+            "--quick",
+            "serve",
+            "--slo-search",
+            "--slo-p99=200",
+            "--tenants=rt:1:poisson:200us:high",
+            "--edf",
+            "--seed=7",
+            "--arch=cpu",
+            "--load=1.2",
+            "--timeline-only",
+            "--trace-out=t.json",
+            "--agg-out=a.json",
+            "--obs-summary",
+            "--obs-summary=o.json",
+            "--out=r.json",
+        ]);
+        assert_eq!(check_flags(&serve), Ok(()));
+    }
+
+    #[test]
+    fn check_flags_rejects_unknown_flags() {
+        let err = check_flags(&args(&["--quick", "table2", "--bogus=1"])).unwrap_err();
+        assert_eq!(err, "unknown flag --bogus");
+        assert_eq!(check_flags(&args(&["--quik"])).unwrap_err(), "unknown flag --quik");
+    }
+
+    #[test]
+    fn check_flags_rejects_value_flags_without_a_value() {
+        let err = check_flags(&args(&["--quick", "serve", "--trace-out", "--seed=7"])).unwrap_err();
+        assert_eq!(err, "--trace-out needs a value: --trace-out=FILE");
+        let err = check_flags(&args(&["serve", "--seed"])).unwrap_err();
+        assert_eq!(err, "--seed needs a value: --seed=N");
+    }
+
+    #[test]
+    fn check_flags_rejects_values_on_switches() {
+        let err = check_flags(&args(&["serve", "--bursty=yes"])).unwrap_err();
+        assert_eq!(err, "--bursty takes no value, got \"--bursty=yes\"");
+    }
+
+    #[test]
+    fn check_flags_names_the_replacement_of_removed_flags() {
+        let err = check_flags(&args(&["serve", "--trace-stream=x.json"])).unwrap_err();
+        assert_eq!(err, "--trace-stream was removed; use --trace-out=FILE, which now streams");
+        let err = check_flags(&args(&["run", "--dram-trace=x.json"])).unwrap_err();
+        assert!(err.starts_with("--dram-trace was removed; use --trace-out=FILE"));
+        assert!(check_flags(&args(&["run", "--trace-stream"])).is_err());
     }
 
     #[test]

@@ -619,70 +619,6 @@ pub fn training_updates(scale: Scale) -> Vec<(String, f64, u64, u64, f64)> {
     rows
 }
 
-/// Beyond-paper serving study: batches arrive open-loop at a fixed
-/// interval; per-batch p50/p99 latency shows the classic hockey stick as
-/// the offered load approaches each architecture's capacity. Rows:
-/// `(arch, interval_cycles, p50, p99)`.
-pub fn serving_latency(scale: Scale) -> Vec<(String, u64, u64, u64)> {
-    use recross_nmp::engine::{execute, EngineConfig};
-
-    let batches = 24usize;
-    let g = generator(scale, 64)
-        .batch_size(scale.batch_size() / 2)
-        .batches(batches);
-    let trace = g.generate(0xD17A);
-    let d = dram();
-    let batch = g.batch_size_value() as f64;
-
-    // Per-arch: measure the unloaded batch service time, then sweep
-    // arrival intervals at 2×, 1.2×, and 0.8× of it.
-    let mut rows = Vec::new();
-    let arch_plans: Vec<(
-        String,
-        Vec<recross_nmp::engine::LookupPlan>,
-        usize,
-        recross_dram::SchedulePolicy,
-    )> = {
-        let profile = AccessProfile::from_trace(&trace);
-        let trim = Trim::bank(d.clone()).with_profile(profile);
-        let profiles = analytic_profiles(&g);
-        let rc = ReCross::new(ReCrossConfig::default_d(d.clone()), profiles, batch).expect("fits");
-        vec![
-            (
-                "TRiM-B".to_owned(),
-                trim.plans(&trace),
-                64,
-                recross_dram::SchedulePolicy::FrFcfs,
-            ),
-            (
-                "ReCross".to_owned(),
-                rc.plans_for_test(&trace),
-                rc.num_nodes_for_test(),
-                recross_dram::SchedulePolicy::LocalityAware,
-            ),
-        ]
-    };
-    for (name, plans, nodes, policy) in arch_plans {
-        let mut cfg = EngineConfig::nmp(&name, d.clone(), nodes);
-        cfg.policy = policy;
-        let unloaded = execute(&cfg, &trace, &plans);
-        let service = (unloaded.cycles / batches as u64).max(1);
-        for mult in [2.0f64, 1.2, 0.8] {
-            let interval = (service as f64 * mult) as u64;
-            let mut open = cfg.clone();
-            open.batch_arrivals = Some((0..batches as u64).map(|k| k * interval).collect());
-            let r = execute(&open, &trace, &plans);
-            rows.push((
-                name.clone(),
-                interval,
-                r.batch_latency.p50,
-                r.batch_latency.p99,
-            ));
-        }
-    }
-    rows
-}
-
 /// Region split of the default config (used by `repro table2` and sanity
 /// reporting).
 pub fn region_split() -> (u32, u32, u32) {
@@ -797,23 +733,6 @@ mod tests {
             "10% updates should be cheap: {}",
             recross[0]
         );
-    }
-
-    #[test]
-    fn serving_latency_hockey_stick() {
-        let rows = serving_latency(Scale::Quick);
-        for arch in ["TRiM-B", "ReCross"] {
-            let mine: Vec<&(String, u64, u64, u64)> = rows.iter().filter(|r| r.0 == arch).collect();
-            // Intervals are sorted slowest-arrival first (2.0, 1.2, 0.8 ×
-            // service time); overload (0.8×) must have worse p99 than the
-            // unloaded point (2×).
-            assert!(
-                mine[2].3 > mine[0].3,
-                "{arch}: overload p99 {} vs unloaded {}",
-                mine[2].3,
-                mine[0].3
-            );
-        }
     }
 
     #[test]

@@ -20,21 +20,20 @@
 //! so the stored summary never needs the full command vector. With
 //! [`TraceOptions`] the timeline can additionally be streamed to a writer
 //! and aggregated online while the run executes; `buffered: false` then
-//! drops both the in-memory event buffer and the retained command vector,
-//! bounding resident memory for long runs (`repro run --trace-stream`).
+//! drops the in-memory event buffer, bounding resident memory for long
+//! runs (`repro run --trace-out`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use recross_dram::attribution::{summarize, AttributionBuilder, CommandAttribution};
 use recross_dram::traceviz::{dram_tracks, record_commands};
-use recross_dram::{Cycle, DramConfig, IssuedCommand};
+use recross_dram::{Cycle, DramConfig};
 use recross_nmp::multichannel::ChannelPlan;
 use recross_obs::agg::{Aggregates, Aggregator};
-use recross_obs::{chrome_trace_string, ChromeStreamSink, Recorder};
-use recross_serve::report::{fmt_f64, json_string};
+use recross_obs::{chrome_trace_string, fmt_f64, json_string, ChromeStreamSink, Recorder};
 
-use crate::serving::{arch_sessions, TraceOptions};
+use crate::serving::{arch_sessions, scale_name, TraceOptions};
 use crate::workloads::{dram, generator, Scale};
 
 /// A captured closed-loop run: per-batch cycle costs, the incrementally
@@ -51,14 +50,9 @@ pub struct RunTrace {
     pub batches: Vec<(usize, Cycle, Cycle)>,
     /// Total run length in DRAM cycles (the last batch's end).
     pub total_cycles: Cycle,
-    /// Every DRAM command of the run, shifted to its batch's dispatch
-    /// cycle. Empty for unbuffered captures ([`TraceOptions::buffered`]
-    /// off), which fold attribution without retaining commands.
-    pub commands: Vec<IssuedCommand>,
     /// Total embedding lookups serviced.
     pub lookups: u64,
-    /// DRAM commands folded into the attribution (equals
-    /// `commands.len()` when the command vector is retained).
+    /// DRAM commands folded into the attribution.
     pub command_count: u64,
     attribution: CommandAttribution,
     agg: Option<Aggregates>,
@@ -99,26 +93,6 @@ impl RunTrace {
         (self.recorder.heap_capacity(), self.recorder.sink_stats())
     }
 
-    /// The original single-channel DRAM-command Chrome trace (bank tracks
-    /// only, no engine spans), via
-    /// [`recross_dram::traceviz::write_chrome_trace`] — the `--dram-trace`
-    /// compatibility format.
-    ///
-    /// # Panics
-    ///
-    /// Panics for unbuffered captures: the command vector was not
-    /// retained.
-    pub fn dram_chrome_trace(&self) -> String {
-        assert!(
-            self.buffered,
-            "--dram-trace needs the retained command vector (buffered capture)"
-        );
-        let mut buf = Vec::new();
-        recross_dram::traceviz::write_chrome_trace(&self.commands, &self.dram, &mut buf)
-            .expect("writing to a Vec cannot fail");
-        String::from_utf8(buf).expect("exporter emits UTF-8")
-    }
-
     /// One human-readable attribution summary line.
     pub fn summary_line(&self) -> String {
         summarize(&self.arch, &self.attribution())
@@ -129,11 +103,6 @@ impl RunTrace {
     /// (deterministic bytes for a given input — identical for buffered
     /// and unbuffered captures of the same run).
     pub fn to_json(&self, scale: Scale, seed: u64) -> String {
-        let scale_name = match scale {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-            Scale::Tiny => "tiny",
-        };
         let batches: Vec<String> = self
             .batches
             .iter()
@@ -149,7 +118,7 @@ impl RunTrace {
                 "\"commands\":{},\"throughput_lookups_per_cycle\":{},",
                 "\"dram\":{}}}"
             ),
-            json_string(scale_name),
+            json_string(scale_name(scale)),
             json_string(&self.arch),
             json_string(&self.engine),
             seed,
@@ -164,22 +133,18 @@ impl RunTrace {
 
 /// Runs the standard workload (dim-64 trace at the given scale and seed)
 /// closed-loop through the named architecture's prepared session,
-/// capturing the full command trace. The whole trace maps to one channel
+/// tracing every DRAM command. The whole trace maps to one channel
 /// (closed-loop runs are single-server; the serving path is where
 /// multi-channel sharding lives). `max_batches` caps how many trace
 /// batches are traced (0 means all).
-pub fn closed_loop_trace(scale: Scale, arch: &str, seed: u64, max_batches: usize) -> RunTrace {
-    closed_loop_trace_with(scale, arch, seed, max_batches, TraceOptions::default())
-        .expect("in-memory tracing cannot fail on IO")
-}
-
-/// [`closed_loop_trace`] with explicit [`TraceOptions`]: stream the
-/// timeline to a writer while the run executes, aggregate online, and/or
-/// drop the in-memory buffers (`buffered: false` retains neither events
-/// nor the command vector — attribution and `to_json` are unaffected,
-/// since both fold incrementally). The streamed bytes are byte-identical
-/// to [`RunTrace::perfetto`] of a buffered capture with the same inputs.
-/// Returns `Err` only when the stream writer fails.
+///
+/// [`TraceOptions`] choose where the timeline goes: streamed to a writer
+/// while the run executes, aggregated online, and/or kept in memory for
+/// [`RunTrace::perfetto`] (`buffered`). Attribution and `to_json` do not
+/// depend on the options, since both fold incrementally. The streamed
+/// bytes are byte-identical to [`RunTrace::perfetto`] of a buffered
+/// capture with the same inputs. Returns `Err` only when the stream
+/// writer fails.
 pub fn closed_loop_trace_with(
     scale: Scale,
     arch: &str,
@@ -215,7 +180,6 @@ pub fn closed_loop_trace_with(
     let mut cursor: Cycle = 0;
     let mut batches = Vec::with_capacity(trace.batches.len());
     let mut builder = AttributionBuilder::new(&d);
-    let mut commands = Vec::new();
     let mut lookups: u64 = 0;
     for (i, b) in trace.batches.iter().enumerate() {
         let (cycles, trace_cmds) = session.service_traced(b);
@@ -227,12 +191,6 @@ pub fn closed_loop_trace_with(
         );
         record_commands(&mut rec, &mut tracks, &d, &trace_cmds, cursor);
         builder.fold(&trace_cmds, cursor);
-        if opts.buffered {
-            commands.extend(trace_cmds.into_iter().map(|mut ic| {
-                ic.cycle += cursor;
-                ic
-            }));
-        }
         batches.push((i, cursor, cycles));
         lookups += b.ops.len() as u64;
         cursor += cycles;
@@ -245,7 +203,6 @@ pub fn closed_loop_trace_with(
         engine: session.name().to_string(),
         batches,
         total_cycles: cursor,
-        commands,
         lookups,
         command_count: builder.commands(),
         attribution: builder.snapshot(cursor),
@@ -261,15 +218,19 @@ mod tests {
     use super::*;
     use recross_obs::SharedWriter;
 
+    fn buffered(scale: Scale, arch: &str, seed: u64, max_batches: usize) -> RunTrace {
+        closed_loop_trace_with(scale, arch, seed, max_batches, TraceOptions::default())
+            .expect("in-memory tracing cannot fail on IO")
+    }
+
     #[test]
     fn closed_loop_trace_is_consistent_and_deterministic() {
-        let rt = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17A, 0);
+        let rt = buffered(Scale::Tiny, "ReCross", 0xD17A, 0);
         assert_eq!(rt.arch, "ReCross");
         assert_eq!(rt.engine, "ReCross-d");
         assert!(!rt.batches.is_empty());
         assert!(rt.total_cycles > 0);
-        assert!(!rt.commands.is_empty());
-        assert_eq!(rt.command_count, rt.commands.len() as u64);
+        assert!(rt.command_count > 0);
         // Batches tile the run back-to-back.
         let mut expect = 0;
         for &(_, start, cycles) in &rt.batches {
@@ -278,17 +239,12 @@ mod tests {
         }
         assert_eq!(expect, rt.total_cycles);
         // Attribution covers the run (display durations may spill past
-        // the last command's issue cycle) and the incremental fold equals
-        // the one-shot recompute over the retained command vector.
+        // the last command's issue cycle).
         let a = rt.attribution();
         assert!(a.span >= rt.total_cycles);
         assert!(a.reads > 0);
-        assert_eq!(
-            a,
-            CommandAttribution::from_commands(&rt.commands, &dram(), rt.total_cycles)
-        );
 
-        let rt2 = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17A, 0);
+        let rt2 = buffered(Scale::Tiny, "ReCross", 0xD17A, 0);
         assert_eq!(rt.perfetto(), rt2.perfetto(), "same seed, same bytes");
         assert_eq!(
             rt.to_json(Scale::Tiny, 0xD17A),
@@ -303,13 +259,13 @@ mod tests {
         let plan = ChannelPlan::balance_by_load(&trace, 1);
         let session = &mut arch_sessions("CPU", &trace, &plan, 2.0)[0];
         let plain: Cycle = trace.batches.iter().map(|b| session.service(b)).sum();
-        let rt = closed_loop_trace(Scale::Tiny, "CPU", 7, 0);
+        let rt = buffered(Scale::Tiny, "CPU", 7, 0);
         assert_eq!(rt.total_cycles, plain);
     }
 
     #[test]
     fn json_and_exports_are_well_formed() {
-        let rt = closed_loop_trace(Scale::Tiny, "CPU", 3, 1);
+        let rt = buffered(Scale::Tiny, "CPU", 3, 1);
         assert_eq!(rt.batches.len(), 1, "max_batches caps the run");
         let json = rt.to_json(Scale::Tiny, 3);
         assert!(json.contains("\"experiment\":\"run_trace\""));
@@ -320,16 +276,12 @@ mod tests {
         assert!(p.contains("\"engine\""));
         assert!(p.contains("rank 0 / bg 0 / bank 0"));
         assert!(p.contains("batch#0"));
-        // Legacy exporter carries the same commands, banks only.
-        let legacy = rt.dram_chrome_trace();
-        assert!(legacy.contains("rank 0 / bg 0 / bank 0"));
-        assert!(!legacy.contains("\"engine\""));
         assert!(rt.summary_line().contains("CPU"));
     }
 
     #[test]
     fn streamed_capture_matches_buffered_without_retaining_commands() {
-        let buffered = closed_loop_trace(Scale::Tiny, "ReCross", 0xD17B, 0);
+        let buffered = buffered(Scale::Tiny, "ReCross", 0xD17B, 0);
 
         let out = SharedWriter::new();
         let streamed = closed_loop_trace_with(
@@ -347,15 +299,14 @@ mod tests {
 
         // The streamed file is byte-identical to the in-memory export,
         // and the run's JSON (incremental attribution included) does not
-        // depend on whether commands/events were retained.
+        // depend on whether events were retained.
         assert_eq!(out.contents(), buffered.perfetto().unwrap());
         assert_eq!(
             streamed.to_json(Scale::Tiny, 0xD17B),
             buffered.to_json(Scale::Tiny, 0xD17B)
         );
         assert!(streamed.perfetto().is_none());
-        assert!(streamed.commands.is_empty(), "unbuffered retains no commands");
-        assert_eq!(streamed.command_count, buffered.commands.len() as u64);
+        assert_eq!(streamed.command_count, buffered.command_count);
 
         // Nothing dropped, and the online aggregates saw the whole run:
         // one `batch` span per batch, makespan covering the run.

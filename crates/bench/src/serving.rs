@@ -18,14 +18,15 @@
 use recross::config::ReCrossConfig;
 use recross::engine::ReCross;
 use recross::profile::empirical_profiles;
+use recross_dram::Cycle;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::ServiceSession;
 use recross_nmp::{AccessProfile, CpuBaseline};
-use recross_serve::report::{fmt_f64, json_string};
+use recross_obs::{fmt_f64, json_string};
 use recross_serve::{
     open_sessions, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
-    simulate_tenant_sessions_obs, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy,
-    ServeObs, ServeReport, SloReport, TenantMix, TenantSloReport,
+    simulate_tenant_sessions_obs, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy, ServeObs,
+    ServeReport, SloReport, TenantMix, TenantRequest, TenantSloReport,
 };
 use recross_workload::{Batch, Trace};
 
@@ -52,13 +53,25 @@ pub fn requests_for(scale: Scale) -> usize {
 }
 
 /// Scale name as it appears in emitted JSON.
-fn scale_name(scale: Scale) -> &'static str {
+pub(crate) fn scale_name(scale: Scale) -> &'static str {
     match scale {
         Scale::Paper => "paper",
         Scale::Quick => "quick",
         Scale::Tiny => "tiny",
     }
 }
+
+/// Single-stream arrival shape as it appears in emitted JSON.
+fn arrival_name(bursty: bool) -> &'static str {
+    if bursty {
+        "bursty"
+    } else {
+        "poisson"
+    }
+}
+
+/// The architectures every sweep and search compares, in report order.
+const ARCHS: [&str; 2] = ["CPU", "ReCross"];
 
 /// The batching-queue configuration used by the sweep: modest batches, a
 /// 2 µs linger (small next to service times, so latency is dominated by
@@ -101,39 +114,6 @@ pub struct ArchSweep {
     pub points: Vec<(f64, ServeReport)>,
 }
 
-/// Estimates an architecture's saturation rate: merge `max_batch` requests
-/// into one batch per channel, charge its cycle-accurate service time
-/// through the channel's prepared session, and take the slowest channel's
-/// rate (requests are sharded across *all* channels, so the slowest bounds
-/// the system).
-fn estimate_capacity_qps(
-    trace: &Trace,
-    plan: &ChannelPlan,
-    max_batch: usize,
-    cycles_per_sec: f64,
-    sessions: &mut [Box<dyn ServiceSession>],
-) -> f64 {
-    let take = trace.batches.len().min(max_batch);
-    let mut capacity = f64::INFINITY;
-    for (ch, (sub, _)) in plan.split(trace).into_iter().enumerate() {
-        let merged = Batch {
-            ops: sub.batches[..take]
-                .iter()
-                .flat_map(|b| b.ops.iter().cloned())
-                .collect(),
-        };
-        if merged.ops.is_empty() {
-            continue;
-        }
-        let cycles = sessions[ch].service(&merged);
-        if cycles > 0 {
-            capacity = capacity.min(take as f64 * cycles_per_sec / cycles as f64);
-        }
-    }
-    assert!(capacity.is_finite(), "trace must exercise some channel");
-    capacity
-}
-
 /// Builds the per-channel ReCross instance from the sub-trace's own
 /// empirical profiles (as the multi-channel scaling experiment does).
 fn make_recross(sub: &Trace, batch_hint: f64) -> ReCross {
@@ -156,30 +136,82 @@ pub(crate) fn arch_sessions(
     }
 }
 
-/// The standard serving workload: `n` single-sample request batches, the
-/// channel plan sharding them, and the batcher configuration.
-fn serving_setup(
-    scale: Scale,
-    policy: QueuePolicy,
+/// The serving workload every driver shares: single-sample requests (one
+/// request = one batch of the trace), the channel plan sharding them, the
+/// batcher configuration, and the seed their arrivals derive from.
+struct Harness {
+    trace: Trace,
+    plan: ChannelPlan,
+    cfg: BatcherConfig,
+    cps: f64,
     seed: u64,
-) -> (Trace, ChannelPlan, BatcherConfig) {
-    let n = requests_for(scale);
-    // One request = one sample: a trace of n single-sample batches.
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    (trace, plan, batcher_config(policy))
 }
 
-/// Deterministic arrival timestamps at the given offered rate. The same
-/// base seed for every arch/rate pair, so curves differ only by rate
-/// scaling and service model.
-fn arrivals_at(qps: f64, n: usize, cps: f64, bursty: bool, seed: u64) -> Vec<u64> {
-    let process = if bursty {
-        ArrivalProcess::bursty(qps)
-    } else {
-        ArrivalProcess::poisson(qps)
-    };
-    process.timestamps(n, cps, seed ^ 0xA221)
+impl Harness {
+    fn new(scale: Scale, cfg: BatcherConfig, seed: u64) -> Self {
+        let trace = generator(scale, 64)
+            .batch_size(1)
+            .batches(requests_for(scale))
+            .generate(seed);
+        let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
+        let cps = dram().cycles_per_sec();
+        Harness {
+            trace,
+            plan,
+            cfg,
+            cps,
+            seed,
+        }
+    }
+
+    /// Opens `arch`'s per-channel sessions and estimates its saturation
+    /// rate on them: merge `max_batch` requests into one batch per
+    /// channel, charge its cycle-accurate service time through the
+    /// channel's session, and take the slowest channel's rate (requests
+    /// are sharded across *all* channels, so the slowest bounds the
+    /// system). The caller keeps the sessions for every run that follows,
+    /// so batch compositions repeating across runs hit the memo.
+    fn open(&self, arch: &str) -> (Vec<Box<dyn ServiceSession>>, f64) {
+        let max_batch = self.cfg.max_batch;
+        let mut sessions = arch_sessions(arch, &self.trace, &self.plan, max_batch as f64);
+        let take = self.trace.batches.len().min(max_batch);
+        let mut capacity = f64::INFINITY;
+        for (ch, (sub, _)) in self.plan.split(&self.trace).into_iter().enumerate() {
+            let merged = Batch {
+                ops: sub.batches[..take]
+                    .iter()
+                    .flat_map(|b| b.ops.iter().cloned())
+                    .collect(),
+            };
+            if merged.ops.is_empty() {
+                continue;
+            }
+            let cycles = sessions[ch].service(&merged);
+            if cycles > 0 {
+                capacity = capacity.min(take as f64 * self.cps / cycles as f64);
+            }
+        }
+        assert!(capacity.is_finite(), "trace must exercise some channel");
+        (sessions, capacity)
+    }
+
+    /// Deterministic single-stream arrival timestamps at `qps`. The same
+    /// base seed for every arch/rate pair, so curves differ only by rate
+    /// scaling and service model.
+    fn arrivals(&self, qps: f64, bursty: bool) -> Vec<Cycle> {
+        let process = if bursty {
+            ArrivalProcess::bursty(qps)
+        } else {
+            ArrivalProcess::poisson(qps)
+        };
+        process.timestamps(self.trace.batches.len(), self.cps, self.seed ^ 0xA221)
+    }
+
+    /// Deterministic deadline-tagged requests of `mix` at aggregate `qps`
+    /// (same seed derivation as [`arrivals`](Self::arrivals)).
+    fn requests(&self, mix: &TenantMix, qps: f64) -> Vec<TenantRequest> {
+        mix.requests(self.trace.batches.len(), qps, self.cps, self.seed ^ 0xA221)
+    }
 }
 
 /// Runs the full sweep ([`SWEEP_FRACTIONS`]): for CPU and ReCross,
@@ -197,35 +229,28 @@ pub fn qps_sweep_at(
     policy: QueuePolicy,
     seed: u64,
 ) -> Vec<ArchSweep> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let (trace, plan, cfg) = serving_setup(scale, policy, seed);
-    let n = trace.batches.len();
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut sweeps = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        // One set of sessions serves the capacity estimate and every sweep
-        // point; batch compositions repeating across points hit the memo.
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let points = fractions
-            .iter()
-            .map(|&fraction| {
-                let qps = capacity * fraction;
-                let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-                let report =
-                    simulate_sessions(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions);
-                (fraction, report)
-            })
-            .collect();
-        sweeps.push(ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        });
-    }
-    sweeps
+    let h = Harness::new(scale, batcher_config(policy), seed);
+    ARCHS
+        .iter()
+        .map(|&arch| {
+            let (mut sessions, capacity) = h.open(arch);
+            let points = fractions
+                .iter()
+                .map(|&fraction| {
+                    let arrivals = h.arrivals(capacity * fraction, bursty);
+                    let report = simulate_sessions(
+                        arch, &h.trace, &h.plan, &arrivals, h.cfg, h.cps, &mut sessions,
+                    );
+                    (fraction, report)
+                })
+                .collect();
+            ArchSweep {
+                arch: arch.to_string(),
+                capacity_qps: capacity,
+                points,
+            }
+        })
+        .collect()
 }
 
 /// Runs the closed-loop SLO throughput search for CPU and ReCross: find
@@ -253,33 +278,28 @@ pub fn slo_search_at(
     slo_p99_us: f64,
     iterations: u32,
 ) -> Vec<SloReport> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let (trace, plan, cfg) = serving_setup(scale, policy, seed);
-    let n = trace.batches.len();
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut reports = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        // Sessions persist across all probes of the search: every probe
-        // replays the same request set at a different rate, so later
-        // probes price most dispatched batches straight from the memo.
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let report = recross_serve::slo::search(
-            arch,
-            slo_p99_us,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-                simulate_sessions(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions)
-            },
-        );
-        reports.push(report);
-    }
-    reports
+    let h = Harness::new(scale, batcher_config(policy), seed);
+    ARCHS
+        .iter()
+        .map(|&arch| {
+            // Every probe replays the same request set at a different
+            // rate, so later probes price most batches from the memo.
+            let (mut sessions, capacity) = h.open(arch);
+            recross_serve::slo::search(
+                arch,
+                slo_p99_us,
+                capacity * 0.05,
+                capacity * 2.0,
+                iterations,
+                |qps| {
+                    let arrivals = h.arrivals(qps, bursty);
+                    simulate_sessions(
+                        arch, &h.trace, &h.plan, &arrivals, h.cfg, h.cps, &mut sessions,
+                    )
+                },
+            )
+        })
+        .collect()
 }
 
 /// Runs the multi-tenant sweep: for CPU and ReCross, estimate aggregate
@@ -304,36 +324,28 @@ pub fn tenant_sweep_at(
     policy: QueuePolicy,
     seed: u64,
 ) -> Vec<ArchSweep> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    let cfg = tenant_batcher_config(policy);
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut sweeps = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let points = fractions
-            .iter()
-            .map(|&fraction| {
-                let qps = capacity * fraction;
-                let requests = mix.requests(n, qps, cps, seed ^ 0xA221);
-                let report = simulate_tenant_sessions(
-                    arch, &trace, &plan, &requests, mix, cfg, cps, &mut sessions,
-                );
-                (fraction, report)
-            })
-            .collect();
-        sweeps.push(ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        });
-    }
-    sweeps
+    let h = Harness::new(scale, tenant_batcher_config(policy), seed);
+    ARCHS
+        .iter()
+        .map(|&arch| {
+            let (mut sessions, capacity) = h.open(arch);
+            let points = fractions
+                .iter()
+                .map(|&fraction| {
+                    let requests = h.requests(mix, capacity * fraction);
+                    let report = simulate_tenant_sessions(
+                        arch, &h.trace, &h.plan, &requests, mix, h.cfg, h.cps, &mut sessions,
+                    );
+                    (fraction, report)
+                })
+                .collect();
+            ArchSweep {
+                arch: arch.to_string(),
+                capacity_qps: capacity,
+                points,
+            }
+        })
+        .collect()
 }
 
 /// Runs the multi-tenant SLO throughput search for CPU and ReCross: the
@@ -357,33 +369,25 @@ pub fn tenant_slo_search_at(
     seed: u64,
     iterations: u32,
 ) -> Vec<TenantSloReport> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-    let cfg = tenant_batcher_config(policy);
-    let batch_hint = cfg.max_batch as f64;
-
-    let mut reports = Vec::new();
-    for arch in ["CPU", "ReCross"] {
-        let mut sessions = arch_sessions(arch, &trace, &plan, batch_hint);
-        let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
-        let report = recross_serve::slo::search_tenants(
-            arch,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let requests = mix.requests(n, qps, cps, seed ^ 0xA221);
-                simulate_tenant_sessions(
-                    arch, &trace, &plan, &requests, mix, cfg, cps, &mut sessions,
-                )
-            },
-        );
-        reports.push(report);
-    }
-    reports
+    let h = Harness::new(scale, tenant_batcher_config(policy), seed);
+    ARCHS
+        .iter()
+        .map(|&arch| {
+            let (mut sessions, capacity) = h.open(arch);
+            recross_serve::slo::search_tenants(
+                arch,
+                capacity * 0.05,
+                capacity * 2.0,
+                iterations,
+                |qps| {
+                    let requests = h.requests(mix, qps);
+                    simulate_tenant_sessions(
+                        arch, &h.trace, &h.plan, &requests, mix, h.cfg, h.cps, &mut sessions,
+                    )
+                },
+            )
+        })
+        .collect()
 }
 
 /// The tenant classes of a mix as a JSON array (metadata echoed into the
@@ -406,16 +410,9 @@ fn mix_to_json(mix: &TenantMix) -> String {
     format!("[{}]", classes.join(","))
 }
 
-/// The whole sweep as one JSON document (deterministic bytes for a given
-/// input — see module docs).
-pub fn sweep_to_json(
-    sweeps: &[ArchSweep],
-    scale: Scale,
-    bursty: bool,
-    policy: QueuePolicy,
-    seed: u64,
-) -> String {
-    let cfg = batcher_config(policy);
+/// The `"archs"` array of a sweep document: per architecture, its
+/// capacity estimate and one report per load fraction.
+fn sweeps_to_json(sweeps: &[ArchSweep]) -> String {
     let archs: Vec<String> = sweeps
         .iter()
         .map(|s| {
@@ -434,6 +431,19 @@ pub fn sweep_to_json(
             )
         })
         .collect();
+    archs.join(",")
+}
+
+/// The whole sweep as one JSON document (deterministic bytes for a given
+/// input — see module docs).
+pub fn sweep_to_json(
+    sweeps: &[ArchSweep],
+    scale: Scale,
+    bursty: bool,
+    policy: QueuePolicy,
+    seed: u64,
+) -> String {
+    let cfg = batcher_config(policy);
     format!(
         concat!(
             "{{\"experiment\":\"serve_qps_sweep\",\"scale\":{},",
@@ -443,7 +453,7 @@ pub fn sweep_to_json(
             "\"archs\":[{}]}}"
         ),
         json_string(scale_name(scale)),
-        json_string(if bursty { "bursty" } else { "poisson" }),
+        json_string(arrival_name(bursty)),
         json_string(policy.kind()),
         seed,
         CHANNELS,
@@ -451,7 +461,7 @@ pub fn sweep_to_json(
         cfg.max_batch,
         cfg.max_linger,
         cfg.queue_depth,
-        archs.join(",")
+        sweeps_to_json(sweeps)
     )
 }
 
@@ -472,7 +482,7 @@ pub fn slo_to_json(
             "\"requests\":{},\"archs\":[{}]}}"
         ),
         json_string(scale_name(scale)),
-        json_string(if bursty { "bursty" } else { "poisson" }),
+        json_string(arrival_name(bursty)),
         json_string(policy.kind()),
         seed,
         CHANNELS,
@@ -491,24 +501,6 @@ pub fn tenant_sweep_to_json(
     seed: u64,
 ) -> String {
     let cfg = tenant_batcher_config(policy);
-    let archs: Vec<String> = sweeps
-        .iter()
-        .map(|s| {
-            let points: Vec<String> = s
-                .points
-                .iter()
-                .map(|(f, r)| {
-                    format!("{{\"fraction\":{},\"result\":{}}}", fmt_f64(*f), r.to_json())
-                })
-                .collect();
-            format!(
-                "{{\"arch\":{},\"capacity_qps\":{},\"points\":[{}]}}",
-                json_string(&s.arch),
-                fmt_f64(s.capacity_qps),
-                points.join(",")
-            )
-        })
-        .collect();
     format!(
         concat!(
             "{{\"experiment\":\"serve_tenant_sweep\",\"scale\":{},",
@@ -529,7 +521,7 @@ pub fn tenant_sweep_to_json(
         cfg.queue_depth,
         cfg.shed_expired,
         cfg.adaptive_linger,
-        archs.join(",")
+        sweeps_to_json(sweeps)
     )
 }
 
@@ -628,38 +620,13 @@ pub struct TracedPoint {
 /// yielding a request-to-DRAM-command timeline alongside the report.
 /// `dram_trace=false` keeps the request/batch timeline but skips the
 /// per-command bank tracks (and re-running each batch traced).
-/// Deterministic in `seed` — reruns are byte-identical.
-#[allow(clippy::too_many_arguments)]
-pub fn traced_point(
-    scale: Scale,
-    arch: &str,
-    mix: Option<&TenantMix>,
-    load: f64,
-    bursty: bool,
-    policy: QueuePolicy,
-    seed: u64,
-    dram_trace: bool,
-) -> TracedPoint {
-    traced_point_with(
-        scale,
-        arch,
-        mix,
-        load,
-        bursty,
-        policy,
-        seed,
-        dram_trace,
-        TraceOptions::default(),
-    )
-    .expect("in-memory tracing cannot fail on IO")
-}
-
-/// [`traced_point`] with explicit [`TraceOptions`]: stream the timeline
-/// to a writer while the simulation runs, aggregate online, and/or drop
-/// the in-memory event buffer for bounded-memory long runs. The streamed
-/// bytes are byte-identical to [`TracedPoint::perfetto`] of a buffered
-/// run with the same inputs. Returns `Err` only when the stream writer
-/// fails.
+///
+/// [`TraceOptions`] choose where the timeline goes: streamed to a writer
+/// while the simulation runs, aggregated online, and/or kept in memory for
+/// [`TracedPoint::perfetto`] (`buffered`). The streamed bytes are
+/// byte-identical to [`TracedPoint::perfetto`] of a buffered run with the
+/// same inputs. Deterministic in `seed` — reruns are byte-identical.
+/// Returns `Err` only when the stream writer fails.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_point_with(
     scale: Scale,
@@ -672,21 +639,15 @@ pub fn traced_point_with(
     dram_trace: bool,
     opts: TraceOptions,
 ) -> std::io::Result<TracedPoint> {
-    let d = dram();
-    let cps = d.cycles_per_sec();
-    let n = requests_for(scale);
-    let trace = generator(scale, 64).batch_size(1).batches(n).generate(seed);
-    let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
     let cfg = match mix {
         Some(_) => tenant_batcher_config(policy),
         None => batcher_config(policy),
     };
-
-    let mut sessions = arch_sessions(arch, &trace, &plan, cfg.max_batch as f64);
-    let capacity = estimate_capacity_qps(&trace, &plan, cfg.max_batch, cps, &mut sessions);
+    let h = Harness::new(scale, cfg, seed);
+    let (mut sessions, capacity) = h.open(arch);
     let qps = capacity * load;
 
-    let mut obs = ServeObs::new(d);
+    let mut obs = ServeObs::new(dram());
     obs.set_dram_trace(dram_trace);
     if let Some(w) = opts.stream {
         obs.stream_to(w);
@@ -697,16 +658,19 @@ pub fn traced_point_with(
     if !opts.buffered {
         obs.unbuffer();
     }
+    let (trace, plan) = (&h.trace, &h.plan);
     let report = match mix {
         Some(m) => {
-            let requests = m.requests(n, qps, cps, seed ^ 0xA221);
+            let requests = h.requests(m, qps);
             simulate_tenant_sessions_obs(
-                arch, &trace, &plan, &requests, m, cfg, cps, &mut sessions, &mut obs,
+                arch, trace, plan, &requests, m, cfg, h.cps, &mut sessions, &mut obs,
             )
         }
         None => {
-            let arrivals = arrivals_at(qps, n, cps, bursty, seed);
-            simulate_sessions_obs(arch, &trace, &plan, &arrivals, cfg, cps, &mut sessions, &mut obs)
+            let arrivals = h.arrivals(qps, bursty);
+            simulate_sessions_obs(
+                arch, trace, plan, &arrivals, cfg, h.cps, &mut sessions, &mut obs,
+            )
         }
     };
     obs.finish()?;
@@ -740,10 +704,7 @@ pub fn traced_point_to_json(
 ) -> String {
     let arrival = match mix {
         Some(m) => format!("\"tenant_classes\":{}", mix_to_json(m)),
-        None => format!(
-            "\"arrival\":{}",
-            json_string(if bursty { "bursty" } else { "poisson" })
-        ),
+        None => format!("\"arrival\":{}", json_string(arrival_name(bursty))),
     };
     format!(
         concat!(
@@ -923,7 +884,7 @@ mod tests {
         // The traced run and the plain sweep at the same fraction must
         // price identically: tracing never perturbs the simulation.
         let (seed, load) = (0x90, 0.8);
-        let p = traced_point(
+        let p = traced_point_with(
             Scale::Tiny,
             "ReCross",
             None,
@@ -932,7 +893,9 @@ mod tests {
             QueuePolicy::Fifo,
             seed,
             true,
-        );
+            TraceOptions::default(),
+        )
+        .expect("in-memory tracing cannot fail on IO");
         let sweeps = qps_sweep_at(Scale::Tiny, &[load], false, QueuePolicy::Fifo, seed);
         let plain = &sweeps[1]; // [CPU, ReCross]
         assert_eq!(plain.arch, "ReCross");
@@ -950,7 +913,7 @@ mod tests {
     fn traced_tenant_point_is_byte_identical_across_reruns() {
         let mix = test_mix();
         let go = || {
-            let p = traced_point(
+            let p = traced_point_with(
                 Scale::Tiny,
                 "CPU",
                 Some(&mix),
@@ -959,7 +922,9 @@ mod tests {
                 QueuePolicy::Edf,
                 0x91,
                 false,
-            );
+                TraceOptions::default(),
+            )
+            .expect("in-memory tracing cannot fail on IO");
             (
                 traced_point_to_json(&p, Scale::Tiny, Some(&mix), false, QueuePolicy::Edf, 0x91),
                 p.perfetto.expect("buffered run keeps the timeline"),

@@ -45,7 +45,6 @@ pub mod command;
 pub mod config;
 pub mod controller;
 pub mod energy;
-pub mod power;
 pub mod timing;
 pub mod traceviz;
 
@@ -55,6 +54,5 @@ pub use command::{Command, CommandKind, DataScope, IssuedCommand};
 pub use config::{Cycle, DramConfig, EnergyParams, TimingParams, Topology};
 pub use controller::{BusScope, Completion, Controller, ReadRequest, RunStats, SchedulePolicy};
 pub use energy::{EnergyBreakdown, EnergyCounters};
-pub use power::{IddParams, PowerReport};
 pub use timing::{TimingError, TimingState};
 pub use traceviz::{dram_tracks, record_commands, DramTracks};

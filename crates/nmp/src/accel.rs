@@ -79,8 +79,9 @@ pub struct RunReport {
     pub cache_hits: u64,
     /// Per-op latency percentiles.
     pub op_latency: LatencySummary,
-    /// Per-batch latency percentiles (completion − arrival; closed-loop
-    /// runs measure completion − previous-batch floor).
+    /// Per-batch latency percentiles: each batch's completion cycle,
+    /// measured from the start of the run (every batch is available at
+    /// cycle 0).
     pub batch_latency: LatencySummary,
     /// Full DRAM command trace, cycle-sorted — populated only when
     /// [`EngineConfig::trace_commands`](crate::engine::EngineConfig) is

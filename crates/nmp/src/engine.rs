@@ -81,10 +81,6 @@ pub struct EngineConfig {
     /// summation, average, concatenation, quantized). Affects PE arithmetic
     /// energy and the result-return volume.
     pub reduction: Reduction,
-    /// Open-loop serving: arrival cycle of each batch (one entry per trace
-    /// batch). A batch may not start before its arrival; per-batch latency
-    /// = completion − arrival. `None` = closed-loop (back-to-back batches).
-    pub batch_arrivals: Option<Vec<Cycle>>,
     /// Record the full DRAM command trace into
     /// [`RunReport::commands`](crate::accel::RunReport::commands) (the
     /// observability path). Off by default: recording allocates per
@@ -107,7 +103,6 @@ impl EngineConfig {
             global_window: None,
             max_inflight_ops: Some(64),
             reduction: Reduction::WeightedSum,
-            batch_arrivals: None,
             trace_commands: false,
         }
     }
@@ -163,23 +158,14 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
     // op's result is read out (lastTag). With double-buffered psum storage,
     // op group k may enter the PEs once group k-2's results have drained.
     // The CPU baseline reduces host-side and needs no such bound.
-    if let Some(arrivals) = &cfg.batch_arrivals {
-        assert_eq!(arrivals.len(), trace.batches.len(), "one arrival per batch");
-    }
     let mut batch_latencies: Vec<Cycle> = Vec::with_capacity(trace.batches.len());
     let mut barrier: Cycle = 0; // ready floor for the current group
     let mut group_done_history: [Cycle; 2] = [0, 0];
     let mut group_counter = 0usize;
     let mut plan_idx = 0usize;
     let mut op_base = 0usize;
-    for (batch_idx, batch) in trace.batches.iter().enumerate() {
-        let arrival = cfg
-            .batch_arrivals
-            .as_ref()
-            .map(|a| a[batch_idx])
-            .unwrap_or(0);
-        barrier = barrier.max(arrival);
-        let mut batch_end: Cycle = arrival;
+    for batch in &trace.batches {
+        let mut batch_end: Cycle = 0;
         // Ops issue in groups bounded by psum capacity.
         let group = cfg.max_inflight_ops.unwrap_or(batch.ops.len()).max(1);
         let mut ops_iter = batch.ops.iter().enumerate().peekable();
@@ -250,7 +236,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
             group_counter += 1;
             barrier = group_done_history[group_counter % 2];
         }
-        batch_latencies.push(batch_end.saturating_sub(arrival));
+        batch_latencies.push(batch_end);
         op_base += batch.ops.len();
     }
     ctl.energy_mut().io_bits += io_bits;
@@ -471,50 +457,6 @@ mod tests {
         assert!(bg > rank);
         assert!(bank > bg);
         assert!((bank / bg - 4.0).abs() < 1e-9, "4 banks per group");
-    }
-
-    #[test]
-    fn batch_arrivals_gate_start_and_measure_latency() {
-        let trace = TraceGenerator::criteo_scaled(16, 10_000)
-            .batch_size(1)
-            .pooling(4)
-            .batches(3)
-            .generate(2);
-        let plans = {
-            let topo = DramConfig::ddr5_4800().topology;
-            let layout = crate::layout::TableLayout::pack(topo, &trace.tables, 0);
-            let mut out = Vec::new();
-            for (op_idx, op) in trace.iter_ops().enumerate() {
-                for &row in &op.indices {
-                    let loc = layout.locate(op.table, row);
-                    out.push(LookupPlan {
-                        op: op_idx,
-                        reads: vec![PlacedRead {
-                            addr: loc.addr,
-                            bursts: loc.bursts,
-                            dest: BusScope::Rank,
-                            salp: false,
-                            auto_precharge: false,
-                            write: false,
-                            node: loc.addr.rank as usize,
-                        }],
-                        cached: false,
-                    });
-                }
-            }
-            out
-        };
-        let mut closed = EngineConfig::nmp("closed", DramConfig::ddr5_4800(), 2);
-        let mut open = closed.clone();
-        open.batch_arrivals = Some(vec![0, 1_000_000, 2_000_000]);
-        let rc = execute(&closed, &trace, &plans);
-        let ro = execute(&open, &trace, &plans);
-        // Widely spaced arrivals: each batch runs unloaded, so per-batch
-        // latency is small but the total run stretches to the last arrival.
-        assert!(ro.cycles > 2_000_000);
-        assert!(ro.batch_latency.max < rc.cycles);
-        assert!(ro.batch_latency.p50 > 0);
-        let _ = closed.batch_arrivals.take();
     }
 
     #[test]

@@ -45,6 +45,9 @@ mod tests {
         assert_eq!(fmt_f64(1.0), "1.0");
         assert_eq!(fmt_f64(0.25), "0.25");
         assert_eq!(fmt_f64(-3.0), "-3.0");
+        // `{}` expands rather than using scientific notation; the result
+        // must still round-trip exactly.
+        assert_eq!(fmt_f64(1e30).parse::<f64>().unwrap(), 1e30);
     }
 
     #[test]

@@ -55,8 +55,8 @@
 //! use recross_nmp::cpu::CpuBaseline;
 //! use recross_nmp::multichannel::ChannelPlan;
 //! use recross_serve::{
-//!     simulate_tenants, BatcherConfig, Priority, QueuePolicy, TenantClass,
-//!     TenantMix, TenantProcess,
+//!     open_sessions, simulate_tenant_sessions, BatcherConfig, Priority,
+//!     QueuePolicy, TenantClass, TenantMix, TenantProcess,
 //! };
 //! use recross_workload::TraceGenerator;
 //!
@@ -82,9 +82,9 @@
 //!     adaptive_linger: true,
 //!     ..BatcherConfig::default()
 //! };
-//! let report = simulate_tenants(
-//!     "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-//!     |_, _| CpuBaseline::new(dram.clone()),
+//! let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+//! let report = simulate_tenant_sessions(
+//!     "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions,
 //! );
 //!
 //! assert_eq!(report.tenants.len(), 2);
@@ -117,8 +117,8 @@ pub use hist::LatencyHistogram;
 pub use obs::{LifecycleTotals, ObsChannel, ObsReport, ObsTenant, ServeObs};
 pub use report::{ChannelReport, ServeReport, TenantReport};
 pub use sim::{
-    open_sessions, simulate, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
-    simulate_tenant_sessions_obs, simulate_tenants,
+    open_sessions, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
+    simulate_tenant_sessions_obs,
 };
 pub use slo::{
     search as slo_search, search_tenants as slo_search_tenants, SloProbe, SloReport,

@@ -32,13 +32,11 @@
 //! For long runs, configure the sinks *before* the simulation instead:
 //! [`ServeObs::stream_to`] attaches a bounded-memory streaming Perfetto
 //! exporter (byte-identical output to the in-memory path),
-//! [`ServeObs::unbuffer`] drops the in-memory buffer,
-//! [`ServeObs::ring_buffer`] keeps only the newest N events with an
-//! explicit drop counter, and [`ServeObs::enable_agg`] folds the stream
-//! into [`Aggregates`] online. Call [`ServeObs::finish`] after the run to
-//! flush streamed output. The [`ObsReport`] carries the recorder's heap
-//! high-water mark and per-sink drop counters, so capped captures are
-//! visibly capped.
+//! [`ServeObs::unbuffer`] drops the in-memory buffer, and
+//! [`ServeObs::enable_agg`] folds the stream into [`Aggregates`] online.
+//! Call [`ServeObs::finish`] after the run to flush streamed output. The
+//! [`ObsReport`] carries the recorder's heap high-water mark and per-sink
+//! drop counters, so drops are never silent.
 
 use std::cell::RefCell;
 use std::io::Write;
@@ -48,10 +46,10 @@ use recross_dram::attribution::AttributionBuilder;
 use recross_dram::traceviz::{dram_tracks, record_commands, DramTracks};
 use recross_dram::{CommandAttribution, Cycle, DramConfig, IssuedCommand};
 use recross_obs::agg::{parse_fate, Aggregates, Aggregator};
-use recross_obs::{ChromeStreamSink, Recorder, RingSink, SinkStats, TrackId};
+use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, SinkStats, TrackId};
 
 use crate::hist::LatencyHistogram;
-use crate::report::{fmt_f64, json_string, ServeReport};
+use crate::report::ServeReport;
 
 /// Request-fate tallies accumulated while synthesizing request lanes;
 /// one count per lifecycle outcome, plus the span total the lifecycle
@@ -172,19 +170,6 @@ impl ServeObs {
     pub fn unbuffer(&mut self) {
         assert!(!self.begun, "configure sinks before the simulation");
         self.rec.unbuffer();
-    }
-
-    /// Replaces the unbounded in-memory buffer with a ring retaining only
-    /// the newest `capacity` events; evictions are counted and surfaced
-    /// in the [`ObsReport`]'s sink stats (never silent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started or `capacity` is 0.
-    pub fn ring_buffer(&mut self, capacity: usize) {
-        assert!(!self.begun, "configure sinks before the simulation");
-        self.rec.unbuffer();
-        self.rec.attach(Box::new(RingSink::new(capacity)));
     }
 
     /// Attaches the online aggregation engine: per-tenant queue/service

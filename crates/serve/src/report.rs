@@ -11,6 +11,7 @@
 
 use recross_dram::Cycle;
 use recross_nmp::session::SessionStats;
+use recross_obs::{fmt_f64, json_string};
 
 use crate::hist::LatencyHistogram;
 use crate::tenant::TenantClass;
@@ -317,40 +318,6 @@ impl ServeReport {
     }
 }
 
-/// Deterministic JSON float: shortest-roundtrip display; non-finite values
-/// (which valid reports never contain) map to `null`.
-pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` omits ".0" for integral floats (and never uses scientific
-        // notation); keep the result visibly a float.
-        if s.contains('.') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// JSON string literal with the escapes our names can need.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,19 +427,6 @@ mod tests {
         assert!((r.tenant_goodput_qps(0) - 6000.0).abs() < 1e-9);
         assert_eq!(r.tenant_goodput_qps(9), 0.0);
         assert_eq!(json, r.clone().to_json(), "tenant JSON deterministic");
-    }
-
-    #[test]
-    fn float_formatting_is_json_safe() {
-        assert_eq!(fmt_f64(0.5), "0.5");
-        assert_eq!(fmt_f64(3.0), "3.0");
-        // `{}` Display expands rather than using scientific notation; the
-        // result must still round-trip exactly.
-        assert_eq!(fmt_f64(1e30).parse::<f64>().unwrap(), 1e30);
-        assert_eq!(fmt_f64(-2.5), "-2.5");
-        assert_eq!(fmt_f64(f64::NAN), "null");
-        assert_eq!(fmt_f64(f64::INFINITY), "null");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
     }
 
     #[test]

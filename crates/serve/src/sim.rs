@@ -17,7 +17,7 @@
 //! offered rate is free at every other rate.
 //!
 //! The tenant-aware entry points ([`simulate_tenant_sessions`] /
-//! [`simulate_tenants`]) run the same loop over a deadline-tagged
+//! [`simulate_tenant_sessions_obs`]) run the same loop over a deadline-tagged
 //! [`TenantRequest`] stream: jobs carry their tenant, priority, and
 //! absolute deadline into the batcher (enabling
 //! [`QueuePolicy::Edf`](crate::batch::QueuePolicy::Edf) and deadline
@@ -352,6 +352,19 @@ fn run_simulation(
     ServeReport::from_outcomes(name, requests, mix, cycles_per_sec, &outcomes)
 }
 
+/// Single-tenant requests at `arrivals`: tenant 0, no deadline.
+fn untagged(arrivals: &[Cycle]) -> Vec<TenantRequest> {
+    arrivals
+        .iter()
+        .map(|&arrival| TenantRequest {
+            arrival,
+            tenant: 0,
+            deadline: Cycle::MAX,
+            priority: 0,
+        })
+        .collect()
+}
+
 /// Runs the full serving simulation against prepared per-channel sessions:
 /// shards `trace` (one batch = one request) across `plan.channels()`
 /// servers, feeds each the same arrival sequence, and merges per-channel
@@ -382,20 +395,11 @@ pub fn simulate_sessions(
     cycles_per_sec: f64,
     sessions: &mut [Box<dyn ServiceSession>],
 ) -> ServeReport {
-    let requests: Vec<TenantRequest> = arrivals
-        .iter()
-        .map(|&arrival| TenantRequest {
-            arrival,
-            tenant: 0,
-            deadline: Cycle::MAX,
-            priority: 0,
-        })
-        .collect();
     run_simulation(
         name,
         trace,
         plan,
-        &requests,
+        &untagged(arrivals),
         None,
         cfg,
         cycles_per_sec,
@@ -429,20 +433,11 @@ pub fn simulate_sessions_obs(
     sessions: &mut [Box<dyn ServiceSession>],
     obs: &mut ServeObs,
 ) -> ServeReport {
-    let requests: Vec<TenantRequest> = arrivals
-        .iter()
-        .map(|&arrival| TenantRequest {
-            arrival,
-            tenant: 0,
-            deadline: Cycle::MAX,
-            priority: 0,
-        })
-        .collect();
     run_simulation(
         name,
         trace,
         plan,
-        &requests,
+        &untagged(arrivals),
         None,
         cfg,
         cycles_per_sec,
@@ -525,67 +520,6 @@ pub fn simulate_tenant_sessions_obs(
         cycles_per_sec,
         sessions,
         Some(obs),
-    )
-}
-
-/// One-shot convenience: opens fresh sessions via [`open_sessions`] and
-/// runs [`simulate_sessions`] once. Prefer holding the sessions yourself
-/// when running several loads over the same trace (sweeps, SLO searches) —
-/// reuse is where the per-session preparation and the memoized service
-/// times pay off.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is not nondecreasing or its length differs from
-/// the number of request batches in `trace`.
-pub fn simulate<A, F>(
-    name: &str,
-    trace: &Trace,
-    plan: &ChannelPlan,
-    arrivals: &[Cycle],
-    cfg: BatcherConfig,
-    cycles_per_sec: f64,
-    make: F,
-) -> ServeReport
-where
-    A: EmbeddingAccelerator,
-    F: FnMut(usize, &Trace) -> A,
-{
-    let mut sessions = open_sessions(trace, plan, make);
-    simulate_sessions(name, trace, plan, arrivals, cfg, cycles_per_sec, &mut sessions)
-}
-
-/// One-shot convenience for the tenant-aware path: opens fresh sessions
-/// and runs [`simulate_tenant_sessions`] once.
-///
-/// # Panics
-///
-/// Same contract as [`simulate_tenant_sessions`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_tenants<A, F>(
-    name: &str,
-    trace: &Trace,
-    plan: &ChannelPlan,
-    requests: &[TenantRequest],
-    mix: &TenantMix,
-    cfg: BatcherConfig,
-    cycles_per_sec: f64,
-    make: F,
-) -> ServeReport
-where
-    A: EmbeddingAccelerator,
-    F: FnMut(usize, &Trace) -> A,
-{
-    let mut sessions = open_sessions(trace, plan, make);
-    simulate_tenant_sessions(
-        name,
-        trace,
-        plan,
-        requests,
-        mix,
-        cfg,
-        cycles_per_sec,
-        &mut sessions,
     )
 }
 
@@ -837,22 +771,6 @@ mod tests {
         assert_eq!(t2n.to_json(), a2.to_json());
     }
 
-    /// The one-shot `simulate` wrapper and explicitly managed sessions
-    /// agree: the wrapper is just open-then-run.
-    #[test]
-    fn simulate_wrapper_matches_explicit_sessions() {
-        let (trace, plan, arrivals, cfg, cps) = serving_setup();
-        let dram = DramConfig::ddr5_4800();
-        let wrapped = simulate("CPU", &trace, &plan, &arrivals, cfg, cps, |_, _| {
-            CpuBaseline::new(dram.clone())
-        });
-        let mut sessions =
-            open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
-        let explicit =
-            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, &mut sessions);
-        assert_eq!(wrapped.to_json(), explicit.to_json());
-    }
-
     #[test]
     #[should_panic(expected = "one session per channel")]
     fn session_count_validated() {
@@ -896,9 +814,9 @@ mod tests {
                 shed_expired: policy == QueuePolicy::Edf,
                 adaptive_linger: policy == QueuePolicy::Edf,
             };
-            let report = simulate_tenants(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-                |_: usize, _: &Trace| CpuBaseline::new(dram.clone()),
+            let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+            let report = simulate_tenant_sessions(
+                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions,
             );
             assert_eq!(report.tenants.len(), 2);
             let mut total = 0u64;
@@ -936,9 +854,9 @@ mod tests {
                 shed_expired: shed,
                 adaptive_linger: shed,
             };
-            simulate_tenants(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps,
-                |_: usize, _: &Trace| CpuBaseline::new(dram.clone()),
+            let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
+            simulate_tenant_sessions(
+                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions,
             )
         };
         let fifo = run(QueuePolicy::Fifo, false);

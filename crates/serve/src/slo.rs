@@ -23,8 +23,9 @@
 //! [`ServiceSession`]: recross_nmp::session::ServiceSession
 
 use recross_nmp::session::SessionStats;
+use recross_obs::{fmt_f64, json_string};
 
-use crate::report::{fmt_f64, json_string, ServeReport};
+use crate::report::ServeReport;
 
 /// One evaluated rate of an SLO search.
 #[derive(Debug, Clone, PartialEq)]

@@ -69,11 +69,10 @@ pub mod prelude {
         RecNmp, RunReport, ServiceSession, SessionStats, TensorDimm, Trim,
     };
     pub use recross_serve::{
-        open_sessions, simulate, simulate_sessions, simulate_tenant_sessions, simulate_tenants,
-        slo_search, slo_search_tenants, ArrivalProcess, Batcher, BatcherConfig, LatencyHistogram,
-        Priority, QueuePolicy, ServeReport, SloProbe, SloReport, TenantClass, TenantMix,
-        TenantProcess, TenantReport, TenantRequest, TenantSloProbe, TenantSloReport,
-        TenantVerdict,
+        open_sessions, simulate_sessions, simulate_tenant_sessions, slo_search, slo_search_tenants,
+        ArrivalProcess, Batcher, BatcherConfig, LatencyHistogram, Priority, QueuePolicy,
+        ServeReport, SloProbe, SloReport, TenantClass, TenantMix, TenantProcess, TenantReport,
+        TenantRequest, TenantSloProbe, TenantSloReport, TenantVerdict,
     };
     pub use recross_workload::{Batch, EmbeddingTableSpec, Trace, TraceGenerator};
     pub use recross::{empirical_profiles, ReCross, ReCrossConfig};
