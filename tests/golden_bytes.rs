@@ -4,7 +4,9 @@
 //! Each test drives one public entry point at tiny scale with a fixed
 //! seed and FNV-1a-hashes what it emits: the experiment JSON documents,
 //! the streamed Perfetto timelines, the online-aggregate JSON, and the
-//! simulated fields of closed-loop `RunReport`s. The constants were
+//! simulated fields of closed-loop `RunReport`s, and the `{:?}` text of
+//! the experiment tables whose models are assembled by hand (ablations,
+//! configuration sweeps, the training write-back path). The constants were
 //! recorded once; a refactor that claims "same bytes" must leave every
 //! one of them unchanged. A mismatch prints the new digest.
 
@@ -12,11 +14,13 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
-use recross_bench::experiments::run_all;
+use recross_bench::experiments::{
+    fig12_ablation, fig14_configurations, instruction_transfer_ablation, run_all, training_updates,
+};
 use recross_bench::runtrace::closed_loop_trace_with;
 use recross_bench::serving::{self, TraceOptions};
 use recross_bench::workloads::{dram, generator, Scale};
-use recross_nmp::RunReport;
+use recross_nmp::{EmbeddingAccelerator, Fafnir, RunReport};
 use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
 
 const SEED: u64 = 7;
@@ -245,4 +249,54 @@ fn run_all_reports_match_golden() {
         of_run_reports(&reports),
         0xed68_b807_9991_22cc,
     )]);
+}
+
+/// FAFNIR is not in `run_all`; pin its offline report and the cycles its
+/// serving session prices each batch at.
+#[test]
+fn fafnir_report_and_session_match_golden() {
+    let g = generator(Scale::Tiny, 64).batches(4);
+    let trace = g.generate(SEED);
+    let mut fafnir = Fafnir::new(dram());
+    let report = fafnir.run(&trace);
+    let mut session = fafnir.open_session(&trace.tables);
+    let mut cycles = Fnv::default();
+    for batch in &trace.batches {
+        cycles.u64(session.service(batch));
+    }
+    check(&[
+        (
+            "FAFNIR RunReport",
+            of_run_reports(&[report]),
+            0xd0e9_46b2_680f_2748,
+        ),
+        ("FAFNIR session cycles", cycles.0, 0xcab9_e1e0_a4c5_c3ea),
+    ]);
+}
+
+#[test]
+fn experiment_tables_match_golden() {
+    let text = |rows: &dyn std::fmt::Debug| of_str(&format!("{rows:?}"));
+    check(&[
+        (
+            "training_updates",
+            text(&training_updates(Scale::Tiny)),
+            0xe29f_99aa_bba1_afc1,
+        ),
+        (
+            "fig12_ablation",
+            text(&fig12_ablation(Scale::Tiny)),
+            0x99b3_f6b9_1458_68b6,
+        ),
+        (
+            "fig14_configurations",
+            text(&fig14_configurations(Scale::Tiny)),
+            0xd4cd_0325_23dd_ce47,
+        ),
+        (
+            "instruction_transfer_ablation",
+            text(&instruction_transfer_ablation(Scale::Tiny)),
+            0x1c70_5ffb_e25c_773a,
+        ),
+    ]);
 }
