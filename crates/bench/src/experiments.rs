@@ -13,6 +13,7 @@ use recross::RegionMap;
 use recross_dram::controller::{BusScope, Controller, ReadRequest, SchedulePolicy};
 use recross_dram::{DramConfig, PhysAddr};
 use recross_nmp::accel::{EmbeddingAccelerator, RunReport};
+use recross_nmp::engine::{execute, LookupPlan, PlacedRead, Prepared};
 use recross_nmp::layout::TableLayout;
 use recross_nmp::{
     internal_bandwidth, AccessProfile, AreaModel, AreaReport, CpuBaseline, RecNmp, TensorDimm, Trim,
@@ -515,108 +516,81 @@ pub fn ddr4_sensitivity(scale: Scale) -> Vec<(String, f64)> {
 /// cold-landing policy that only shows under training-heavy loads.
 pub fn training_updates(scale: Scale) -> Vec<(String, f64, u64, u64, f64)> {
     use recross::config::Region;
-    use recross_nmp::engine::{execute, EngineConfig, LookupPlan};
 
     let (g, trace) = standard_trace(scale, 64);
     let d = dram();
     let batch = g.batch_size_value() as f64;
-    let fractions = [0.1f64, 0.5, 1.0];
     let mut rows = Vec::new();
+    let mut measure = |name: &str, prepared: Prepared, land: &dyn Fn(&mut PlacedRead, u64)| {
+        let inference = (prepared.plan)(&trace);
+        let inf = execute(&prepared.engine, &trace, &inference);
+        for frac in [0.1f64, 0.5, 1.0] {
+            let training = with_write_back(&inference, frac, land);
+            let tr = execute(&prepared.engine, &trace, &training);
+            rows.push((
+                name.to_owned(),
+                frac,
+                inf.cycles,
+                tr.cycles,
+                tr.cycles as f64 / inf.cycles as f64,
+            ));
+        }
+    };
 
     // TRiM-B: write-back in place (closed page).
-    {
-        let profile = AccessProfile::from_trace(&trace);
-        let trim = Trim::bank(d.clone()).with_profile(profile);
-        let inference_plans = trim.plans(&trace);
-        let cfg = EngineConfig::nmp("TRiM-B", d.clone(), 64);
-        let inf = execute(&cfg, &trace, &inference_plans);
-        for &frac in &fractions {
-            let mut counter = 0u64;
-            let training_plans: Vec<LookupPlan> = inference_plans
-                .iter()
-                .map(|p| {
-                    let mut p = p.clone();
-                    let mut writes: Vec<_> = p
-                        .reads
-                        .iter()
-                        .filter(|_| {
-                            counter += 1;
-                            (counter as f64 * frac).fract() + frac >= 1.0
-                        })
-                        .map(|r| {
-                            let mut w = *r;
-                            w.write = true;
-                            w
-                        })
-                        .collect();
-                    p.reads.append(&mut writes);
-                    p
-                })
-                .collect();
-            let tr = execute(&cfg, &trace, &training_plans);
-            rows.push((
-                "TRiM-B".to_owned(),
-                frac,
-                inf.cycles,
-                tr.cycles,
-                tr.cycles as f64 / inf.cycles as f64,
-            ));
-        }
-    }
+    let profile = AccessProfile::from_trace(&trace);
+    let trim = Trim::bank(d.clone()).with_profile(profile);
+    measure("TRiM-B", trim.prepare(&trace.tables), &|_, _| {});
 
     // ReCross: updates written to the R-region (cold, §4.5).
-    {
-        let profiles = analytic_profiles(&g);
-        let rc = ReCross::new(ReCrossConfig::default_d(d.clone()), profiles, batch).expect("fits");
-        let inference_plans = rc.plans_for_test(&trace);
-        let map = rc.placement().region_map();
-        let r_slots = map.vector_slots(Region::R, 256);
-        let mut engine_cfg = EngineConfig::nmp("ReCross", d.clone(), rc.num_nodes_for_test());
-        engine_cfg.policy = recross_dram::SchedulePolicy::LocalityAware;
-        let inf = execute(&engine_cfg, &trace, &inference_plans);
-        for &frac in &fractions {
-            let mut seq = 0u64;
-            let mut counter = 0u64;
-            let training_plans: Vec<LookupPlan> = inference_plans
+    let profiles = analytic_profiles(&g);
+    let rc = ReCross::new(ReCrossConfig::default_d(d), profiles, batch).expect("fits");
+    let map = rc.placement().region_map();
+    let r_slots = map.vector_slots(Region::R, 256);
+    measure("ReCross", rc.prepare(&trace.tables), &|w, seq| {
+        // Cold landing slot in the R-region, from the top.
+        w.addr = map.slot_addr(Region::R, r_slots - 1 - (seq % (r_slots / 2)), 256);
+        w.dest = BusScope::Rank;
+        w.salp = false;
+        w.auto_precharge = false;
+        w.node = w.addr.rank as usize;
+    });
+    rows
+}
+
+/// `plans` with a `frac` share of their reads also written back: each
+/// write copies its read, is placed by `land` (given the write's 1-based
+/// sequence number), and follows the lookup's reads.
+fn with_write_back(
+    plans: &[LookupPlan],
+    frac: f64,
+    land: &dyn Fn(&mut PlacedRead, u64),
+) -> Vec<LookupPlan> {
+    let mut counter = 0u64;
+    let mut seq = 0u64;
+    plans
+        .iter()
+        .map(|p| {
+            let mut p = p.clone();
+            let mut writes: Vec<_> = p
+                .reads
                 .iter()
-                .map(|p| {
-                    let mut p = p.clone();
-                    let mut writes: Vec<_> = p
-                        .reads
-                        .iter()
-                        .filter(|_| {
-                            counter += 1;
-                            (counter as f64 * frac).fract() + frac >= 1.0
-                        })
-                        .map(|r| {
-                            let mut w = *r;
-                            // Cold landing slot in the R-region, from the top.
-                            seq += 1;
-                            w.addr =
-                                map.slot_addr(Region::R, r_slots - 1 - (seq % (r_slots / 2)), 256);
-                            w.dest = recross_dram::controller::BusScope::Rank;
-                            w.salp = false;
-                            w.auto_precharge = false;
-                            w.write = true;
-                            w.node = w.addr.rank as usize;
-                            w
-                        })
-                        .collect();
-                    p.reads.append(&mut writes);
-                    p
+                .filter(|_| {
+                    counter += 1;
+                    (counter as f64 * frac).fract() + frac >= 1.0
+                })
+                .map(|r| {
+                    let mut w = *r;
+                    seq += 1;
+                    land(&mut w, seq);
+                    w.write = true;
+                    w
                 })
                 .collect();
-            let tr = execute(&engine_cfg, &trace, &training_plans);
-            rows.push((
-                "ReCross".to_owned(),
-                frac,
-                inf.cycles,
-                tr.cycles,
-                tr.cycles as f64 / inf.cycles as f64,
-            ));
-        }
-    }
-    rows
+            p.reads.append(&mut writes);
+            p
+        })
+        .collect()
 }
 
 /// Region split of the default config (used by `repro table2` and sanity

@@ -11,10 +11,9 @@
 
 use recross_dram::controller::{BusScope, SchedulePolicy};
 use recross_nmp::accel::{EmbeddingAccelerator, RunReport};
-use recross_nmp::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
-use recross_nmp::session::{MemoizedSession, ServiceSession};
+use recross_nmp::engine::{execute, plan_lookups, EngineConfig, LookupPlan, PlacedRead, Prepared};
 use recross_workload::model::embedding_value;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
 use crate::config::{ReCrossConfig, Region};
 use crate::partition::{
@@ -28,8 +27,8 @@ use crate::replication::HotReplicas;
 /// The assembled ReCross system.
 ///
 /// `Clone` deep-copies the resolved placement state, which is what lets
-/// [`open_session`](EmbeddingAccelerator::open_session) hand out
-/// self-contained serving sessions without re-solving the partition LP.
+/// [`prepare`](EmbeddingAccelerator::prepare) hand out self-contained
+/// planners (and so serving sessions) without re-solving the partition LP.
 #[derive(Debug, Clone)]
 pub struct ReCross {
     cfg: ReCrossConfig,
@@ -53,19 +52,7 @@ impl ReCross {
         batch: f64,
     ) -> Result<Self, PartitionError> {
         cfg.validate();
-        let map = RegionMap::new(&cfg);
-        let max_vec = profiles
-            .iter()
-            .map(|p| p.spec.vector_bytes() as u32)
-            .max()
-            .unwrap_or(256);
-        let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
-        let decision = if cfg.bwp {
-            bandwidth_aware_partition(&profiles, &map, &bw, batch, cfg.pwl_segments)?
-        } else {
-            naive_partition(&profiles, &map)
-        };
-        let placement = Placement::new(&profiles, decision, map);
+        let placement = place(&cfg, &profiles, batch)?;
         Ok(Self {
             cfg,
             profiles,
@@ -100,19 +87,7 @@ impl ReCross {
         profiles: Vec<TableProfile>,
         batch: f64,
     ) -> Result<(), PartitionError> {
-        let map = RegionMap::new(&self.cfg);
-        let max_vec = profiles
-            .iter()
-            .map(|p| p.spec.vector_bytes() as u32)
-            .max()
-            .unwrap_or(256);
-        let bw = RegionBandwidth::from_map(&map, &self.cfg.dram, max_vec, self.cfg.sap);
-        let decision = if self.cfg.bwp {
-            bandwidth_aware_partition(&profiles, &map, &bw, batch, self.cfg.pwl_segments)?
-        } else {
-            naive_partition(&profiles, &map)
-        };
-        let placement = Placement::new(&profiles, decision, map);
+        let placement = place(&self.cfg, &profiles, batch)?;
         self.profiles = profiles;
         self.set_placement(placement);
         Ok(())
@@ -157,47 +132,28 @@ impl ReCross {
         let mut replicas = self.cfg.hot_replication.map(|(per_table, copies)| {
             HotReplicas::build(&self.profiles, &self.placement, per_table, copies)
         });
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            let bursts = self.placement.bursts(op.table, burst_bytes);
-            for &row in &op.indices {
-                let rank = self.profiles[op.table].order.rank_of(row);
-                let region = self.placement.region_of_rank(op.table, rank);
-                let addr = replicas
-                    .as_mut()
-                    .and_then(|r| r.redirect(&self.placement, op.table, rank))
-                    .unwrap_or_else(|| self.placement.addr_of_rank(op.table, rank));
-                let (dest, salp) = match region {
-                    Region::R => (BusScope::Rank, false),
-                    Region::G => (BusScope::BankGroup, false),
-                    Region::B => (BusScope::Bank, self.cfg.sap),
-                };
-                plans.push(LookupPlan {
-                    op: op_idx,
-                    reads: vec![PlacedRead {
-                        addr,
-                        bursts,
-                        dest,
-                        salp,
-                        auto_precharge: false,
-                        write: false,
-                        node: self.node_of(region, &addr),
-                    }],
-                    cached: false,
-                });
-            }
-        }
-        plans
-    }
-
-    /// The lookup plans for a trace (exposed for the benchmark harness).
-    pub fn plans_for_test(&self, trace: &Trace) -> Vec<LookupPlan> {
-        self.plans(trace)
-    }
-
-    /// Unified PE-node count (exposed for the benchmark harness).
-    pub fn num_nodes_for_test(&self) -> usize {
-        self.num_nodes()
+        plan_lookups(trace, |table, row| {
+            let rank = self.profiles[table].order.rank_of(row);
+            let region = self.placement.region_of_rank(table, rank);
+            let addr = replicas
+                .as_mut()
+                .and_then(|r| r.redirect(&self.placement, table, rank))
+                .unwrap_or_else(|| self.placement.addr_of_rank(table, rank));
+            let (dest, salp) = match region {
+                Region::R => (BusScope::Rank, false),
+                Region::G => (BusScope::BankGroup, false),
+                Region::B => (BusScope::Bank, self.cfg.sap),
+            };
+            vec![PlacedRead {
+                addr,
+                bursts: self.placement.bursts(table, burst_bytes),
+                dest,
+                salp,
+                auto_precharge: false,
+                write: false,
+                node: self.node_of(region, &addr),
+            }]
+        })
     }
 
     /// Bandwidth weight of each PE node, in bytes/cycle.
@@ -268,20 +224,26 @@ impl ReCross {
     }
 }
 
-impl ReCross {
-    /// The engine configuration shared by the offline and serving paths.
-    fn engine_config(&self) -> EngineConfig {
-        let mut engine_cfg =
-            EngineConfig::nmp(&self.cfg.name, self.cfg.dram.clone(), self.num_nodes());
-        engine_cfg.policy = if self.cfg.las {
-            SchedulePolicy::LocalityAware
-        } else {
-            SchedulePolicy::FrFcfs
-        };
-        engine_cfg.two_stage_inst = self.cfg.two_stage_inst;
-        engine_cfg.reduction = self.cfg.reduction;
-        engine_cfg
-    }
+/// Partitions the profiled tables across the regions (BWP or naive per
+/// `cfg`) and places them.
+fn place(
+    cfg: &ReCrossConfig,
+    profiles: &[TableProfile],
+    batch: f64,
+) -> Result<Placement, PartitionError> {
+    let map = RegionMap::new(cfg);
+    let max_vec = profiles
+        .iter()
+        .map(|p| p.spec.vector_bytes() as u32)
+        .max()
+        .unwrap_or(256);
+    let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
+    let decision = if cfg.bwp {
+        bandwidth_aware_partition(profiles, &map, &bw, batch, cfg.pwl_segments)?
+    } else {
+        naive_partition(profiles, &map)
+    };
+    Ok(Placement::new(profiles, decision, map))
 }
 
 impl EmbeddingAccelerator for ReCross {
@@ -289,10 +251,42 @@ impl EmbeddingAccelerator for ReCross {
         &self.cfg.name
     }
 
+    /// Dispatches each lookup to the region owning its row. The expensive
+    /// state — partition LP solution, placement mapping tables, region
+    /// carve-out — is already resolved in `self`; the planner deep-copies
+    /// it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tables` is not the profiled table universe.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
+        assert_eq!(
+            tables.len(),
+            self.profiles.len(),
+            "session tables must match the profiled table universe"
+        );
+        for (t, p) in tables.iter().zip(&self.profiles) {
+            assert_eq!(*t, p.spec, "session table spec differs from profile");
+        }
+        let mut engine = EngineConfig::nmp(&self.cfg.name, self.cfg.dram.clone(), self.num_nodes());
+        engine.policy = if self.cfg.las {
+            SchedulePolicy::LocalityAware
+        } else {
+            SchedulePolicy::FrFcfs
+        };
+        engine.two_stage_inst = self.cfg.two_stage_inst;
+        engine.reduction = self.cfg.reduction;
+        let system = self.clone();
+        Prepared {
+            engine,
+            plan: Box::new(move |trace: &Trace| system.plans(trace)),
+        }
+    }
+
     fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let engine_cfg = self.engine_config();
-        let mut report = execute(&engine_cfg, trace, &plans);
+        let Prepared { engine, plan } = self.prepare(&trace.tables);
+        let plans = plan(trace);
+        let mut report = execute(&engine, trace, &plans);
         // ReCross nodes are heterogeneous by design: the imbalance metric
         // must weight each PE by its bandwidth (a B node is *supposed* to
         // carry more lookups than a rank PE). Replace the engine's
@@ -332,36 +326,6 @@ impl EmbeddingAccelerator for ReCross {
                 out
             })
             .collect()
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        assert_eq!(
-            tables.len(),
-            self.profiles.len(),
-            "session tables must match the profiled table universe"
-        );
-        for (t, p) in tables.iter().zip(&self.profiles) {
-            assert_eq!(*t, p.spec, "session table spec differs from profile");
-        }
-        // The expensive state — partition LP solution, placement mapping
-        // tables, region carve-out — is already resolved in `self`; the
-        // session deep-copies it once and reuses it for every batch.
-        let system = self.clone();
-        let mut engine_cfg = self.engine_config();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
-        };
-        Box::new(MemoizedSession::new(
-            self.cfg.name.clone(),
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                engine_cfg.trace_commands = traced;
-                let plans = system.plans(&trace);
-                execute(&engine_cfg, &trace, &plans).into()
-            }),
-        ))
     }
 }
 

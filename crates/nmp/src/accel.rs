@@ -1,10 +1,12 @@
 //! The accelerator interface and run reports.
 
 use recross_dram::{Cycle, EnergyBreakdown, EnergyCounters};
+use recross_workload::model::reduce_trace;
 use recross_workload::stats::ImbalanceSummary;
 use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::session::ServiceSession;
+use crate::engine::{execute, Prepared};
+use crate::session::{MemoizedSession, ServiceSession};
 
 /// Per-embedding-op latency percentiles (serving-tail view), in cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -122,17 +124,23 @@ impl RunReport {
 
 /// An embedding-layer accelerator model.
 ///
-/// The trait has two faces:
+/// A model makes one decision: how its tables become engine work — where
+/// each lookup's data lives, which PE reduces it, and how the engine runs
+/// the resulting plans. [`prepare`](Self::prepare) states that decision
+/// once per table universe, and both faces of the trait are built on it:
 ///
-/// * the **offline trace API** — [`run`](Self::run) and
-///   [`compute_results`](Self::compute_results) consume a whole [`Trace`]
-///   and rebuild all table-dependent state per call (the right shape for
+/// * the **offline trace API** — [`run`](Self::run) prepares the trace's
+///   tables, plans the whole trace and executes it (the right shape for
 ///   regenerating a paper figure);
-/// * the **serving API** — [`open_session`](Self::open_session) resolves
-///   layout/placement state for a fixed table universe *once* and returns
-///   a [`ServiceSession`] whose `service(&Batch)` prices individual
-///   dispatched batches, with an exact memoized service-time cache. The
-///   online simulator (`recross-serve`) holds one session per channel.
+/// * the **serving API** — [`open_session`](Self::open_session) prepares
+///   once and returns a [`ServiceSession`] whose `service(&Batch)` prices
+///   individual dispatched batches, with an exact memoized service-time
+///   cache. The online simulator (`recross-serve`) holds one session per
+///   channel.
+///
+/// Because both faces plan and execute through the same [`Prepared`], a
+/// session prices a batch exactly as `run` prices the equivalent
+/// single-batch trace.
 ///
 /// Implementations must be *functionally correct*: the reduction results
 /// they produce are checked against the golden model
@@ -141,25 +149,33 @@ pub trait EmbeddingAccelerator {
     /// Human-readable architecture name (e.g. `"TRiM-G"`).
     fn name(&self) -> &str;
 
+    /// Resolves all table-dependent state for `tables` (layouts, caches'
+    /// geometry, placements) into a planner, paired with the engine
+    /// configuration the plans run under. Traces later planned by it index
+    /// into this table universe.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared;
+
     /// Simulates the trace; returns timing/energy/load statistics.
-    fn run(&mut self, trace: &Trace) -> RunReport;
+    fn run(&mut self, trace: &Trace) -> RunReport {
+        let prepared = self.prepare(&trace.tables);
+        execute(&prepared.engine, trace, &(prepared.plan)(trace))
+    }
 
     /// Computes the functional f32 results for every op of the trace, via
-    /// this architecture's placement round-trip.
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>>;
+    /// this architecture's placement round-trip. The default is the golden
+    /// order, right for every design whose PEs reduce whole vectors in
+    /// trace order (cached, replicated or fetched alike).
+    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
+        reduce_trace(trace)
+    }
 
-    /// Opens a prepared serving session for `tables`: all table-dependent
-    /// state (layouts, caches' geometry, placements, engine configuration)
-    /// is resolved here, once, and owned by the returned session. The
-    /// batches later passed to [`ServiceSession::service`] index into this
-    /// table universe.
-    ///
-    /// A session's uncached path must price a batch exactly as
-    /// [`run`](EmbeddingAccelerator::run)
-    /// prices the equivalent single-batch trace (the serving simulator's
-    /// results are invariant under this refactor, and the session tests
-    /// assert it per model).
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession>;
+    /// Opens a prepared serving session for `tables`: a [`MemoizedSession`]
+    /// owning this model's [`prepare`](Self::prepare) output. The batches
+    /// later passed to [`ServiceSession::service`] index into this table
+    /// universe.
+    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+        Box::new(MemoizedSession::new(tables, self.prepare(tables)))
+    }
 }
 
 #[cfg(test)]

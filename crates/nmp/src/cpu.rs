@@ -8,14 +8,12 @@
 
 use recross_dram::controller::BusScope;
 use recross_dram::DramConfig;
-use recross_workload::model::{embedding_value, reduce_trace};
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
+use crate::accel::EmbeddingAccelerator;
 use crate::cache::LruCache;
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::engine::{plan_lookups, EngineConfig, PlacedRead, Prepared};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// CPU baseline model (16-core Broadwell-class host of the paper's Table 2).
 ///
@@ -51,66 +49,6 @@ impl CpuBaseline {
         let avg_vec = tables.iter().map(|t| t.vector_bytes()).max().unwrap_or(256);
         (self.llc_bytes / avg_vec.max(1)) as usize
     }
-
-    /// The engine configuration shared by the offline and serving paths.
-    fn engine_config(&self) -> EngineConfig {
-        let mut cfg = EngineConfig::nmp("CPU", self.dram.clone(), 1);
-        cfg.inst_bits = None; // plain DRAM commands, no NMP instruction channel
-        cfg.reduce_at_host = true;
-        // The host controller holds at most 64 outstanding requests
-        // (Table 2), unlike NMP designs whose requests queue at the PEs;
-        // host-side reduction needs no psum-capacity op bound.
-        cfg.global_window = Some(64);
-        cfg.max_inflight_ops = None;
-        cfg
-    }
-
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        Self::plans_prepared(&layout, self.llc_entries(&trace.tables), trace)
-    }
-
-    /// [`plans`](Self::plans) with the table layout already resolved —
-    /// the per-batch half, shared with [`open_session`]'s prepared path.
-    /// The LLC starts cold on every call (per-call semantics keep the
-    /// serving memo cache exact).
-    fn plans_prepared(layout: &TableLayout, entries: usize, trace: &Trace) -> Vec<LookupPlan> {
-        let mut llc = (entries > 0).then(|| LruCache::new(entries));
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            for &row in &op.indices {
-                let hit = llc
-                    .as_mut()
-                    .map(|c| c.touch((op.table, row)))
-                    .unwrap_or(false);
-                if hit {
-                    plans.push(LookupPlan {
-                        op: op_idx,
-                        reads: vec![],
-                        cached: true,
-                    });
-                } else {
-                    let loc = layout.locate(op.table, row);
-                    plans.push(LookupPlan {
-                        op: op_idx,
-                        reads: vec![PlacedRead {
-                            addr: loc.addr,
-                            bursts: loc.bursts,
-                            dest: BusScope::Channel,
-                            salp: false,
-                            auto_precharge: false,
-                            write: false,
-                            node: 0,
-                        }],
-                        cached: false,
-                    });
-                }
-            }
-        }
-        plans
-    }
 }
 
 impl EmbeddingAccelerator for CpuBaseline {
@@ -118,36 +56,37 @@ impl EmbeddingAccelerator for CpuBaseline {
         "CPU"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = self.engine_config();
-        execute(&cfg, trace, &plans)
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // Host-side reduction in trace order: the golden path itself.
-        let _ = embedding_value(0, 0, 0);
-        reduce_trace(trace)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+    /// Host-side gather and reduction: every lookup not in the LLC reads
+    /// its vector over the channel. The LLC starts cold on every planned
+    /// trace.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
         let layout = TableLayout::pack(self.dram.topology, tables, 0);
         let entries = self.llc_entries(tables);
-        let mut cfg = self.engine_config();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
+        let plan = move |trace: &Trace| {
+            let mut llc = (entries > 0).then(|| LruCache::new(entries));
+            plan_lookups(trace, |table, row| {
+                if llc.as_mut().is_some_and(|c| c.touch((table, row))) {
+                    return vec![];
+                }
+                let loc = layout.locate(table, row);
+                vec![PlacedRead {
+                    addr: loc.addr,
+                    bursts: loc.bursts,
+                    dest: BusScope::Channel,
+                    salp: false,
+                    auto_precharge: false,
+                    write: false,
+                    node: 0,
+                }]
+            })
         };
-        Box::new(MemoizedSession::new(
-            "CPU",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, entries, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
+        Prepared {
+            engine: EngineConfig {
+                host: true,
+                ..EngineConfig::nmp("CPU", self.dram.clone(), 1)
+            },
+            plan: Box::new(plan),
+        }
     }
 }
 

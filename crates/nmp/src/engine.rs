@@ -48,6 +48,36 @@ pub struct LookupPlan {
     pub cached: bool,
 }
 
+/// Plans every lookup of `trace` in trace order: `place(table, row)` gives
+/// the reads row `row` of table `table` needs. A lookup with no reads is
+/// served from a PE-side cache.
+pub fn plan_lookups(
+    trace: &Trace,
+    mut place: impl FnMut(usize, u64) -> Vec<PlacedRead>,
+) -> Vec<LookupPlan> {
+    let mut plans = Vec::with_capacity(trace.lookups());
+    for (op, e) in trace.iter_ops().enumerate() {
+        for &row in &e.indices {
+            let reads = place(e.table, row);
+            let cached = reads.is_empty();
+            plans.push(LookupPlan { op, reads, cached });
+        }
+    }
+    plans
+}
+
+/// NMP-instruction size in bits (§4.2).
+pub const NMP_INST_BITS: u32 = 82;
+
+/// Embedding ops in flight at once on an NMP design, bounded by the PEs'
+/// partial-sum buffer capacity: each in-flight op pins one psum register
+/// in every PE it touches.
+pub const PSUM_OPS: usize = 64;
+
+/// Host-controller global request-queue bound (Table 2: 64 entries for the
+/// CPU baseline).
+pub const HOST_QUEUE: usize = 64;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -59,24 +89,16 @@ pub struct EngineConfig {
     pub name: String,
     /// Number of memory nodes (PEs) for imbalance accounting.
     pub num_nodes: usize,
-    /// NMP-instruction size in bits (82, §4.2); `None` disables the
-    /// instruction channel (CPU baseline: plain DRAM commands).
-    pub inst_bits: Option<u32>,
     /// Use the two-stage (C/A + DQ) instruction transfer (§4.2).
     pub two_stage_inst: bool,
-    /// Whether reduction happens host-side (CPU baseline): result vectors
-    /// do not cross the channel again, but all gathered data already did.
-    pub reduce_at_host: bool,
-    /// Per-bank reorder window (PE-side queue depth).
-    pub bank_window: usize,
-    /// Host-controller global request-queue bound (Table 2: 64 entries for
-    /// the CPU baseline); `None` for NMP designs whose requests queue at
-    /// the PEs.
-    pub global_window: Option<usize>,
-    /// Embedding ops in flight at once, bounded by the PEs' partial-sum
-    /// buffer capacity (each in-flight op pins one psum register in every
-    /// PE it touches). `None` = unbounded (CPU reduces host-side).
-    pub max_inflight_ops: Option<usize>,
+    /// Host-side gather and reduction (the CPU baseline). A host engine
+    /// issues plain DRAM commands (no NMP-instruction channel), queues at
+    /// most [`HOST_QUEUE`] requests in the host controller, needs no psum
+    /// bound on ops in flight, and returns no result vectors: all gathered
+    /// data already crossed the channel. An NMP engine sends one
+    /// [`NMP_INST_BITS`]-bit instruction per lookup, queues requests at the
+    /// PEs, and keeps at most [`PSUM_OPS`] ops in flight.
+    pub host: bool,
     /// The reduction operation PEs perform (§4.1: summation, weighted
     /// summation, average, concatenation, quantized). Affects PE arithmetic
     /// energy and the result-return volume.
@@ -96,16 +118,31 @@ impl EngineConfig {
             policy: SchedulePolicy::FrFcfs,
             name: name.to_owned(),
             num_nodes,
-            inst_bits: Some(82),
             two_stage_inst: true,
-            reduce_at_host: false,
-            bank_window: 16,
-            global_window: None,
-            max_inflight_ops: Some(64),
+            host: false,
             reduction: Reduction::WeightedSum,
             trace_commands: false,
         }
     }
+}
+
+/// Turns a trace's lookups into placement plans, one per lookup in trace
+/// order. A planner is `Fn`: it cannot mutate what it captured, so per-call
+/// state (LRU caches, replica round-robins) starts afresh on every call and
+/// identical traces plan identically. That is what keeps a serving
+/// session's memo exact.
+pub type Planner = Box<dyn Fn(&Trace) -> Vec<LookupPlan>>;
+
+/// An accelerator prepared for one table universe: everything
+/// table-dependent (layouts, placements, caches' geometry) is resolved
+/// into the planner, and the engine configuration says how the plans run.
+/// [`EmbeddingAccelerator::prepare`](crate::accel::EmbeddingAccelerator::prepare)
+/// returns one; the offline run and the serving session both drive it.
+pub struct Prepared {
+    /// How the plans run on the DRAM system.
+    pub engine: EngineConfig,
+    /// Where each lookup's data lives and which PE reduces it.
+    pub plan: Planner,
 }
 
 /// Executes `plans` (one per lookup, in trace order) and assembles the
@@ -119,20 +156,20 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
     let total_lookups: usize = trace.lookups();
     assert_eq!(plans.len(), total_lookups, "one plan per lookup");
 
-    let mut ctl = Controller::new(cfg.dram.clone(), cfg.policy).with_bank_window(cfg.bank_window);
-    if let Some(w) = cfg.global_window {
-        ctl = ctl.with_global_window(w);
+    let mut ctl = Controller::new(cfg.dram.clone(), cfg.policy);
+    if cfg.host {
+        ctl = ctl.with_global_window(HOST_QUEUE);
     }
     if cfg.trace_commands {
         ctl.record_trace();
     }
-    let mut inst_bus = cfg.inst_bits.map(|bits| {
+    let mut inst_bus = (!cfg.host).then(|| {
         let pins = if cfg.two_stage_inst {
             cfg.dram.two_stage_bits_per_cycle
         } else {
             cfg.dram.ca_bits_per_cycle
         };
-        InstructionBus::new(bits, pins)
+        InstructionBus::new(NMP_INST_BITS, pins)
     });
 
     // Per-op metadata in trace order.
@@ -157,7 +194,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
     // Psum-bounded execution (§4.2): PEs hold per-op partial sums until the
     // op's result is read out (lastTag). With double-buffered psum storage,
     // op group k may enter the PEs once group k-2's results have drained.
-    // The CPU baseline reduces host-side and needs no such bound.
+    // A host engine reduces host-side and needs no such bound.
     let mut batch_latencies: Vec<Cycle> = Vec::with_capacity(trace.batches.len());
     let mut barrier: Cycle = 0; // ready floor for the current group
     let mut group_done_history: [Cycle; 2] = [0, 0];
@@ -167,7 +204,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
     for batch in &trace.batches {
         let mut batch_end: Cycle = 0;
         // Ops issue in groups bounded by psum capacity.
-        let group = cfg.max_inflight_ops.unwrap_or(batch.ops.len()).max(1);
+        let group = if cfg.host { batch.ops.len() } else { PSUM_OPS }.max(1);
         let mut ops_iter = batch.ops.iter().enumerate().peekable();
         while ops_iter.peek().is_some() {
             let mut group_ops: Vec<usize> = Vec::with_capacity(group);
@@ -211,7 +248,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
             }
             finish = finish.max(ctl.stats().finish);
             // Result return for this group's ops frees the psums.
-            let group_end = if cfg.reduce_at_host {
+            let group_end = if cfg.host {
                 group_ops
                     .iter()
                     .map(|&i| op_done[i])
@@ -331,27 +368,18 @@ mod tests {
     fn plans_for(trace: &Trace, dest: BusScope, num_nodes: usize) -> Vec<LookupPlan> {
         let topo = DramConfig::ddr5_4800().topology;
         let layout = TableLayout::pack(topo, &trace.tables, 0);
-        let mut plans = Vec::new();
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
-                let node = loc.addr.flat_bank(&topo) as usize % num_nodes;
-                plans.push(LookupPlan {
-                    op: op_idx,
-                    reads: vec![PlacedRead {
-                        addr: loc.addr,
-                        bursts: loc.bursts,
-                        dest,
-                        salp: false,
-                        auto_precharge: false,
-                        write: false,
-                        node,
-                    }],
-                    cached: false,
-                });
-            }
-        }
-        plans
+        plan_lookups(trace, |table, row| {
+            let loc = layout.locate(table, row);
+            vec![PlacedRead {
+                addr: loc.addr,
+                bursts: loc.bursts,
+                dest,
+                salp: false,
+                auto_precharge: false,
+                write: false,
+                node: loc.addr.flat_bank(&topo) as usize % num_nodes,
+            }]
+        })
     }
 
     #[test]
@@ -412,17 +440,7 @@ mod tests {
     fn cached_lookups_skip_dram() {
         let trace = small_trace();
         let cfg = EngineConfig::nmp("cached", DramConfig::ddr5_4800(), 2);
-        let plans: Vec<LookupPlan> = trace
-            .iter_ops()
-            .enumerate()
-            .flat_map(|(op_idx, op)| {
-                op.indices.iter().map(move |_| LookupPlan {
-                    op: op_idx,
-                    reads: vec![],
-                    cached: true,
-                })
-            })
-            .collect();
+        let plans = plan_lookups(&trace, |_, _| vec![]);
         let report = execute(&cfg, &trace, &plans);
         assert_eq!(report.cache_hits, report.lookups);
         assert_eq!(report.counters.rd_wr_bits, 0);

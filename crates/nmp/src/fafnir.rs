@@ -9,14 +9,12 @@
 //! which is exactly how it behaves here.
 
 use recross_dram::controller::BusScope;
-use recross_dram::DramConfig;
-use recross_workload::model::reduce_trace;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_dram::{DramConfig, PhysAddr};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::accel::EmbeddingAccelerator;
+use crate::engine::{plan_lookups, EngineConfig, PlacedRead, Prepared};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// FAFNIR accelerator model.
 #[derive(Debug, Clone)]
@@ -64,44 +62,6 @@ impl Fafnir {
         rank_topo.ranks = 1;
         TableLayout::pack(rank_topo, tables, 0)
     }
-
-    /// Builds the per-lookup placement plans.
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        Self::plans_prepared(
-            &self.assign_tables(&trace.tables),
-            &self.rank_layout(&trace.tables),
-            trace,
-        )
-    }
-
-    /// [`plans`](Self::plans) with the table assignment and layout already
-    /// resolved — the per-batch half, shared with [`open_session`]'s
-    /// prepared path.
-    fn plans_prepared(assign: &[u32], layout: &TableLayout, trace: &Trace) -> Vec<LookupPlan> {
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            let rank = assign[op.table];
-            for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
-                let mut addr = loc.addr;
-                addr.rank = rank;
-                plans.push(LookupPlan {
-                    op: op_idx,
-                    reads: vec![PlacedRead {
-                        addr,
-                        bursts: loc.bursts,
-                        dest: BusScope::Rank,
-                        salp: false,
-                        auto_precharge: true,
-                        write: false,
-                        node: rank as usize,
-                    }],
-                    cached: false,
-                });
-            }
-        }
-        plans
-    }
 }
 
 impl EmbeddingAccelerator for Fafnir {
@@ -109,44 +69,37 @@ impl EmbeddingAccelerator for Fafnir {
         "FAFNIR"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(
-            "FAFNIR",
-            self.dram.clone(),
-            self.dram.topology.ranks as usize,
-        );
-        execute(&cfg, trace, &plans)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+    /// Every lookup of a table reads from the table's rank. Each op's
+    /// lookups live in one rank and the tree forwards its psum unchanged,
+    /// so the default
+    /// [`compute_results`](EmbeddingAccelerator::compute_results) (the
+    /// golden order) holds.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
         let assign = self.assign_tables(tables);
         let layout = self.rank_layout(tables);
-        let mut cfg = EngineConfig::nmp(
-            "FAFNIR",
-            self.dram.clone(),
-            self.dram.topology.ranks as usize,
-        );
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
+        let plan = move |trace: &Trace| {
+            plan_lookups(trace, |table, row| {
+                let loc = layout.locate(table, row);
+                let rank = assign[table];
+                vec![PlacedRead {
+                    addr: PhysAddr { rank, ..loc.addr },
+                    bursts: loc.bursts,
+                    dest: BusScope::Rank,
+                    salp: false,
+                    auto_precharge: true,
+                    write: false,
+                    node: rank as usize,
+                }]
+            })
         };
-        Box::new(MemoizedSession::new(
-            "FAFNIR",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&assign, &layout, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // Each op's lookups live in one rank; the tree forwards its psum
-        // unchanged — numerically the golden order.
-        reduce_trace(trace)
+        Prepared {
+            engine: EngineConfig::nmp(
+                "FAFNIR",
+                self.dram.clone(),
+                self.dram.topology.ranks as usize,
+            ),
+            plan: Box::new(plan),
+        }
     }
 }
 
@@ -166,7 +119,7 @@ mod tests {
     fn tables_pin_to_one_rank() {
         let t = trace();
         let f = Fafnir::new(DramConfig::ddr5_4800());
-        let plans = f.plans(&t);
+        let plans = (f.prepare(&t.tables).plan)(&t);
         // Every lookup of one op lands in a single rank.
         let mut per_op_rank: std::collections::HashMap<usize, u32> =
             std::collections::HashMap::new();

@@ -4,11 +4,14 @@
 //! (Liu et al., ISCA 2023): the shared command-level execution engine plus
 //! the paper's four NMP baselines and the CPU baseline.
 //!
-//! * [`accel`] — the [`EmbeddingAccelerator`] trait and [`RunReport`];
+//! * [`accel`] — the [`EmbeddingAccelerator`] trait (one required
+//!   `prepare`, with `run` and `open_session` built on it) and
+//!   [`RunReport`];
 //! * [`session`] — the prepare-once / service-many [`ServiceSession`]
 //!   serving surface with its memoized service-time cache;
-//! * [`engine`] — placement plans → DRAM command streams, the 82-bit
-//!   NMP-instruction channel (§4.2), PE/result-return accounting;
+//! * [`engine`] — [`Prepared`] planners, placement plans → DRAM command
+//!   streams, the 82-bit NMP-instruction channel (§4.2), PE/result-return
+//!   accounting;
 //! * [`layout`] — contiguous table layout (row index = memory offset);
 //! * [`cpu`] — the 16-core CPU baseline with a 32 MiB LLC;
 //! * [`tensordimm`] — rank-level NMP, vertical (dimension-sliced) tables;
@@ -53,10 +56,12 @@ pub mod tensordimm;
 pub mod trim;
 
 pub use accel::{EmbeddingAccelerator, LatencySummary, RunReport};
-pub use session::{MemoizedSession, ServiceSession, Serviced, SessionStats, DEFAULT_MEMO_CAPACITY};
+pub use session::{MemoizedSession, ServiceSession, SessionStats, DEFAULT_MEMO_CAPACITY};
 pub use cost::{AreaModel, AreaParams, AreaReport};
 pub use cpu::CpuBaseline;
-pub use engine::{execute, internal_bandwidth, EngineConfig, LookupPlan, PlacedRead};
+pub use engine::{
+    execute, internal_bandwidth, EngineConfig, LookupPlan, PlacedRead, Planner, Prepared,
+};
 pub use fafnir::Fafnir;
 pub use multichannel::{run_multichannel, ChannelPlan};
 pub use profile::AccessProfile;

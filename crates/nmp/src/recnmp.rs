@@ -8,14 +8,12 @@
 
 use recross_dram::controller::BusScope;
 use recross_dram::DramConfig;
-use recross_workload::model::reduce_trace;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
+use crate::accel::EmbeddingAccelerator;
 use crate::cache::LruCache;
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::engine::{plan_lookups, EngineConfig, PlacedRead, Prepared};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// RecNMP accelerator model.
 #[derive(Debug, Clone)]
@@ -44,66 +42,6 @@ impl RecNmp {
         let max_vec = tables.iter().map(|t| t.vector_bytes()).max().unwrap_or(256);
         (self.cache_bytes_per_rank / max_vec.max(1)) as usize
     }
-
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        Self::plans_prepared(
-            &layout,
-            self.cache_entries(&trace.tables),
-            self.dram.topology.ranks,
-            trace,
-        )
-    }
-
-    /// [`plans`](Self::plans) with the layout already resolved — the
-    /// per-batch half, shared with [`open_session`]'s prepared path. The
-    /// PE caches start cold on every call (per-call semantics keep the
-    /// serving memo cache exact).
-    fn plans_prepared(
-        layout: &TableLayout,
-        entries: usize,
-        ranks: u32,
-        trace: &Trace,
-    ) -> Vec<LookupPlan> {
-        let mut caches: Vec<Option<LruCache<(usize, u64)>>> = (0..ranks)
-            .map(|_| (entries > 0).then(|| LruCache::new(entries)))
-            .collect();
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
-                let rank = loc.addr.rank as usize;
-                let hit = caches[rank]
-                    .as_mut()
-                    .map(|c| c.touch((op.table, row)))
-                    .unwrap_or(false);
-                if hit {
-                    plans.push(LookupPlan {
-                        op: op_idx,
-                        reads: vec![],
-                        cached: true,
-                    });
-                } else {
-                    plans.push(LookupPlan {
-                        op: op_idx,
-                        reads: vec![PlacedRead {
-                            addr: loc.addr,
-                            bursts: loc.bursts,
-                            dest: BusScope::Rank,
-                            salp: false,
-                            auto_precharge: true,
-                            write: false,
-                            node: rank,
-                        }],
-                        cached: false,
-                    });
-                }
-            }
-        }
-        plans
-    }
 }
 
 impl EmbeddingAccelerator for RecNmp {
@@ -111,41 +49,39 @@ impl EmbeddingAccelerator for RecNmp {
         "RecNMP"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(
-            "RecNMP",
-            self.dram.clone(),
-            self.dram.topology.ranks as usize,
-        );
-        execute(&cfg, trace, &plans)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+    /// Whole vectors live in one rank; its PE reduces them, from its cache
+    /// when it holds the entry. The PE caches start cold on every planned
+    /// trace. Rank PEs reduce whole vectors in trace order, so the default
+    /// [`compute_results`](EmbeddingAccelerator::compute_results) holds.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
         let layout = TableLayout::pack(self.dram.topology, tables, 0);
         let entries = self.cache_entries(tables);
         let ranks = self.dram.topology.ranks;
-        let mut cfg = EngineConfig::nmp("RecNMP", self.dram.clone(), ranks as usize);
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
+        let plan = move |trace: &Trace| {
+            let mut caches: Vec<Option<LruCache<(usize, u64)>>> = (0..ranks)
+                .map(|_| (entries > 0).then(|| LruCache::new(entries)))
+                .collect();
+            plan_lookups(trace, |table, row| {
+                let loc = layout.locate(table, row);
+                let rank = loc.addr.rank as usize;
+                if caches[rank].as_mut().is_some_and(|c| c.touch((table, row))) {
+                    return vec![];
+                }
+                vec![PlacedRead {
+                    addr: loc.addr,
+                    bursts: loc.bursts,
+                    dest: BusScope::Rank,
+                    salp: false,
+                    auto_precharge: true,
+                    write: false,
+                    node: rank,
+                }]
+            })
         };
-        Box::new(MemoizedSession::new(
-            "RecNMP",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, entries, ranks, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // Rank PEs reduce whole vectors (cached or fetched) in trace order;
-        // numerically identical to the golden order.
-        reduce_trace(trace)
+        Prepared {
+            engine: EngineConfig::nmp("RecNMP", self.dram.clone(), ranks as usize),
+            plan: Box::new(plan),
+        }
     }
 }
 

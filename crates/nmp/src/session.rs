@@ -1,29 +1,35 @@
 //! The prepare-once / service-many serving surface.
 //!
-//! The offline API ([`EmbeddingAccelerator::run`]) consumes a whole
-//! [`Trace`](recross_workload::Trace); it rebuilds the architecture's
-//! table layout, engine
-//! configuration, and (for ReCross) placement state on every call. That is
-//! the right shape for regenerating a paper figure and the wrong shape for
-//! the serving simulator, which charges a cycle-accurate cost to *every
-//! dispatched batch* — thousands of calls against one fixed table universe.
+//! Every model states how its tables become engine work once, in
+//! [`EmbeddingAccelerator::prepare`]: a [`Prepared`] pairs the engine
+//! configuration with a planner holding the resolved layout and placement
+//! state. The offline API ([`EmbeddingAccelerator::run`]) prepares the
+//! tables of a whole [`Trace`] on every call. That is the right shape for
+//! regenerating a paper figure and the wrong shape for the serving
+//! simulator, which charges a cycle-accurate cost to *every dispatched
+//! batch* — thousands of calls against one fixed table universe.
 //!
-//! [`EmbeddingAccelerator::open_session`] resolves all table-dependent
-//! state once and returns a [`ServiceSession`]: a lightweight object whose
-//! [`service`](ServiceSession::service) prices one batch. Sessions also
-//! memoize service times keyed on the batch's canonical op signature, so a
-//! batch composition the session has already priced (common across the
-//! probes of an SLO search, which replays the same request set at different
-//! rates) costs a hash lookup instead of a DRAM-level simulation. Hit/miss
-//! counters are exposed through [`ServiceSession::stats`] and surfaced by
-//! the serving simulator's `ServeReport`.
+//! [`EmbeddingAccelerator::open_session`] prepares once and returns a
+//! [`MemoizedSession`], a [`ServiceSession`] whose
+//! [`service`](ServiceSession::service) prices one batch by planning it and
+//! driving the plans through the engine — the same steps `run` takes on a
+//! single-batch trace, so a session prices a batch exactly as `run` prices
+//! that trace. Sessions also memoize service times keyed on the batch's
+//! canonical op signature, so a batch composition the session has already
+//! priced (common across the probes of an SLO search, which replays the
+//! same request set at different rates) costs a hash lookup instead of a
+//! DRAM-level simulation. Hit/miss counters are exposed through
+//! [`ServiceSession::stats`] and surfaced by the serving simulator's
+//! `ServeReport`.
 //!
 //! The cache is exact, not approximate: the key encodes the full op
-//! sequence (tables, row ids, weight bits, order), and every model's
-//! uncached path is deterministic and stateless across calls, so a hit
-//! returns bit-identical cycles to a re-simulation. Disabling the cache
-//! ([`ServiceSession::set_cache_enabled`]) therefore changes wall-clock
-//! time, never reported cycles — CI byte-compares the two.
+//! sequence (tables, row ids, weight bits, order), the engine is
+//! deterministic, and a [`Planner`] is `Fn`: it cannot mutate what it
+//! captured, so per-call state (LRU caches, replica round-robins) starts
+//! afresh on every batch. A hit therefore returns bit-identical cycles to a
+//! re-simulation. Disabling the cache
+//! ([`ServiceSession::set_cache_enabled`]) changes wall-clock time, never
+//! reported cycles — CI byte-compares the two.
 //!
 //! Long-lived sessions (a server that stays up across many traffic mixes)
 //! would grow an unbounded memo, so the cache is **bounded**: at most
@@ -37,9 +43,11 @@
 use std::collections::HashMap;
 
 use recross_dram::{Cycle, IssuedCommand};
-use recross_workload::Batch;
+use recross_workload::{Batch, EmbeddingTableSpec, Trace};
 
+use crate::accel::RunReport;
 use crate::cache::LruCache;
+use crate::engine::{execute, Prepared};
 
 /// Default bound on distinct batch signatures a session memoizes.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 16;
@@ -72,28 +80,6 @@ impl SessionStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             evictions: self.evictions - earlier.evictions,
-        }
-    }
-}
-
-/// Result of pricing one batch through a session's uncached path.
-///
-/// `commands` is populated only when the caller asked for a traced run
-/// (the observability path); the untraced hot path always carries `None`
-/// so pricing allocates nothing trace-related.
-#[derive(Debug, Clone, Default)]
-pub struct Serviced {
-    /// Cycles to service the batch.
-    pub cycles: Cycle,
-    /// Full DRAM command trace of the batch, when traced.
-    pub commands: Option<Vec<IssuedCommand>>,
-}
-
-impl From<crate::accel::RunReport> for Serviced {
-    fn from(report: crate::accel::RunReport) -> Self {
-        Serviced {
-            cycles: report.cycles,
-            commands: report.commands,
         }
     }
 }
@@ -146,7 +132,7 @@ pub trait ServiceSession {
 }
 
 #[cfg(doc)]
-use crate::accel::EmbeddingAccelerator;
+use crate::{accel::EmbeddingAccelerator, engine::Planner};
 
 /// Canonical signature of a batch: the exact op sequence as a word stream.
 ///
@@ -172,21 +158,16 @@ pub fn batch_signature(batch: &Batch) -> Vec<u64> {
     sig
 }
 
-/// A prepared uncached pricing function: `(batch, traced)` → cycles (+
-/// the DRAM command trace when `traced`). Must be deterministic —
-/// identical inputs price identically.
-pub type ServiceFn = Box<dyn FnMut(&Batch, bool) -> Serviced>;
-
-/// The shared [`ServiceSession`] implementation: a prepared uncached
-/// pricing function plus the exact memo cache.
+/// The shared [`ServiceSession`] implementation: a model's [`Prepared`]
+/// plus the exact memo cache.
 ///
-/// Every accelerator model builds one of these in `open_session`, moving
-/// its resolved layout/placement state into the `uncached` closure.
+/// [`EmbeddingAccelerator::open_session`] builds one from the model's
+/// [`prepare`](EmbeddingAccelerator::prepare) output.
 pub struct MemoizedSession {
-    name: String,
-    /// Prepared pricing function: `(batch, traced)` → cycles (+ the DRAM
-    /// command trace when `traced`).
-    uncached: ServiceFn,
+    prepared: Prepared,
+    /// The session's table universe with the batch being priced; reused
+    /// across calls.
+    trace: Trace,
     cache: HashMap<Vec<u64>, Cycle>,
     /// Recency list over the memoized signatures; its fixed capacity is the
     /// memo bound, and its evictions name the signature to drop.
@@ -198,7 +179,7 @@ pub struct MemoizedSession {
 impl core::fmt::Debug for MemoizedSession {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("MemoizedSession")
-            .field("name", &self.name)
+            .field("name", &self.prepared.engine.name)
             .field("cached_entries", &self.cache.len())
             .field("capacity", &self.lru.capacity())
             .field("stats", &self.stats)
@@ -208,17 +189,18 @@ impl core::fmt::Debug for MemoizedSession {
 }
 
 impl MemoizedSession {
-    /// Wraps a prepared pricing function. `uncached` must be deterministic
-    /// and stateless across calls (identical batch → identical cycles);
-    /// every model's session satisfies this by resetting per-batch state
-    /// (LRU caches, replica round-robins) inside the closure.
+    /// Wraps a model prepared for `tables`. The session is named after the
+    /// prepared engine configuration.
     ///
     /// The memo holds at most [`DEFAULT_MEMO_CAPACITY`] signatures; see
     /// [`ServiceSession::set_cache_capacity`].
-    pub fn new(name: impl Into<String>, uncached: ServiceFn) -> Self {
+    pub fn new(tables: &[EmbeddingTableSpec], prepared: Prepared) -> Self {
         Self {
-            name: name.into(),
-            uncached,
+            prepared,
+            trace: Trace {
+                tables: tables.to_vec(),
+                batches: Vec::new(),
+            },
             cache: HashMap::new(),
             lru: LruCache::new(DEFAULT_MEMO_CAPACITY),
             stats: SessionStats::default(),
@@ -235,17 +217,27 @@ impl MemoizedSession {
     pub fn cache_capacity(&self) -> usize {
         self.lru.capacity()
     }
+
+    /// Prices `batch` by simulation, outside the memo, recording its
+    /// command trace when `traced`.
+    fn simulate(&mut self, batch: &Batch, traced: bool) -> RunReport {
+        self.trace.batches.clear();
+        self.trace.batches.push(batch.clone());
+        self.prepared.engine.trace_commands = traced;
+        let plans = (self.prepared.plan)(&self.trace);
+        execute(&self.prepared.engine, &self.trace, &plans)
+    }
 }
 
 impl ServiceSession for MemoizedSession {
     fn name(&self) -> &str {
-        &self.name
+        &self.prepared.engine.name
     }
 
     fn service(&mut self, batch: &Batch) -> Cycle {
         if !self.enabled {
             self.stats.misses += 1;
-            return (self.uncached)(batch, false).cycles;
+            return self.simulate(batch, false).cycles;
         }
         let sig = batch_signature(batch);
         if let Some(&cycles) = self.cache.get(&sig) {
@@ -253,7 +245,7 @@ impl ServiceSession for MemoizedSession {
             self.lru.touch(sig);
             return cycles;
         }
-        let cycles = (self.uncached)(batch, false).cycles;
+        let cycles = self.simulate(batch, false).cycles;
         let (_, evicted) = self.lru.touch_evict(sig.clone());
         if let Some(victim) = evicted {
             self.cache.remove(&victim);
@@ -270,7 +262,7 @@ impl ServiceSession for MemoizedSession {
         let cycles = self.service(batch);
         // ...then a traced re-run outside the memo for the commands. The
         // uncached path is deterministic, so the re-run prices identically.
-        let traced = (self.uncached)(batch, true);
+        let traced = self.simulate(batch, true);
         debug_assert_eq!(
             traced.cycles, cycles,
             "traced re-run must price identically to the memoized path"

@@ -8,14 +8,13 @@
 //! rank-level.
 
 use recross_dram::controller::BusScope;
-use recross_dram::DramConfig;
+use recross_dram::{DramConfig, PhysAddr};
 use recross_workload::model::embedding_value;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::accel::EmbeddingAccelerator;
+use crate::engine::{plan_lookups, EngineConfig, PlacedRead, Prepared};
 use crate::layout::TableLayout;
-use crate::session::{MemoizedSession, ServiceSession};
 
 /// TensorDIMM accelerator model.
 #[derive(Debug, Clone)]
@@ -57,44 +56,6 @@ impl TensorDimm {
         rank_topo.ranks = 1;
         TableLayout::pack(rank_topo, &sliced, 0)
     }
-
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        Self::plans_prepared(&self.rank_layout(&trace.tables), self.dram.topology.ranks, trace)
-    }
-
-    /// [`plans`](Self::plans) with the per-rank layout already resolved —
-    /// the per-batch half, shared with [`open_session`]'s prepared path.
-    fn plans_prepared(layout: &TableLayout, ranks: u32, trace: &Trace) -> Vec<LookupPlan> {
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            for &row in &op.indices {
-                let loc = layout.locate(op.table, row);
-                let reads = (0..ranks)
-                    .map(|rank| {
-                        let mut addr = loc.addr;
-                        addr.rank = rank;
-                        PlacedRead {
-                            addr,
-                            bursts: loc.bursts,
-                            dest: BusScope::Rank,
-                            salp: false,
-                            auto_precharge: true,
-                            write: false,
-                            node: rank as usize,
-                        }
-                    })
-                    .collect();
-                plans.push(LookupPlan {
-                    op: op_idx,
-                    reads,
-                    cached: false,
-                });
-            }
-        }
-        plans
-    }
 }
 
 impl EmbeddingAccelerator for TensorDimm {
@@ -102,34 +63,31 @@ impl EmbeddingAccelerator for TensorDimm {
         "TensorDIMM"
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(
-            "TensorDIMM",
-            self.dram.clone(),
-            self.dram.topology.ranks as usize,
-        );
-        execute(&cfg, trace, &plans)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
+    /// Every lookup reads its slice from every rank; each rank PE reduces
+    /// its own slice.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
         let layout = self.rank_layout(tables);
         let ranks = self.dram.topology.ranks;
-        let mut cfg = EngineConfig::nmp("TensorDIMM", self.dram.clone(), ranks as usize);
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
+        let plan = move |trace: &Trace| {
+            plan_lookups(trace, |table, row| {
+                let loc = layout.locate(table, row);
+                (0..ranks)
+                    .map(|rank| PlacedRead {
+                        addr: PhysAddr { rank, ..loc.addr },
+                        bursts: loc.bursts,
+                        dest: BusScope::Rank,
+                        salp: false,
+                        auto_precharge: true,
+                        write: false,
+                        node: rank as usize,
+                    })
+                    .collect()
+            })
         };
-        Box::new(MemoizedSession::new(
-            "TensorDIMM",
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = Self::plans_prepared(&layout, ranks, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
+        Prepared {
+            engine: EngineConfig::nmp("TensorDIMM", self.dram.clone(), ranks as usize),
+            plan: Box::new(plan),
+        }
     }
 
     fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {

@@ -8,15 +8,13 @@
 //! round-robins accesses among the replicas.
 
 use recross_dram::controller::BusScope;
-use recross_dram::DramConfig;
-use recross_workload::model::reduce_trace;
-use recross_workload::{Batch, EmbeddingTableSpec, Trace};
+use recross_dram::{DramConfig, PhysAddr, Topology};
+use recross_workload::{EmbeddingTableSpec, Trace};
 
-use crate::accel::{EmbeddingAccelerator, RunReport};
-use crate::engine::{execute, EngineConfig, LookupPlan, PlacedRead};
+use crate::accel::EmbeddingAccelerator;
+use crate::engine::{plan_lookups, EngineConfig, PlacedRead, Prepared};
 use crate::layout::{slot_to_addr, TableLayout};
 use crate::profile::AccessProfile;
-use crate::session::{MemoizedSession, ServiceSession};
 use std::collections::HashMap;
 
 /// Which TRiM variant.
@@ -26,6 +24,24 @@ pub enum TrimLevel {
     BankGroup,
     /// PEs per bank (TRiM-B).
     Bank,
+}
+
+impl TrimLevel {
+    /// The PE level lookups travel to.
+    fn dest(self) -> BusScope {
+        match self {
+            TrimLevel::BankGroup => BusScope::BankGroup,
+            TrimLevel::Bank => BusScope::Bank,
+        }
+    }
+
+    /// The PE node owning `addr`.
+    fn node_of(self, topo: &Topology, addr: &PhysAddr) -> usize {
+        match self {
+            TrimLevel::BankGroup => addr.flat_bank_group(topo) as usize,
+            TrimLevel::Bank => addr.flat_bank(topo) as usize,
+        }
+    }
 }
 
 /// TRiM accelerator model.
@@ -93,21 +109,6 @@ impl Trim {
         }
     }
 
-    fn dest(&self) -> BusScope {
-        match self.level {
-            TrimLevel::BankGroup => BusScope::BankGroup,
-            TrimLevel::Bank => BusScope::Bank,
-        }
-    }
-
-    fn node_of(&self, addr: &recross_dram::PhysAddr) -> usize {
-        let t = &self.dram.topology;
-        match self.level {
-            TrimLevel::BankGroup => addr.flat_bank_group(t) as usize,
-            TrimLevel::Bank => addr.flat_bank(t) as usize,
-        }
-    }
-
     /// Hot-entry replica directory: (table, row) -> replica slot base.
     /// Replicas live in the slots right after the packed tables, one
     /// DRAM-row-slot stride per replica so copies land on distinct banks.
@@ -123,58 +124,6 @@ impl Trim {
         }
         hot
     }
-
-    /// Builds the per-lookup placement plans (public for the
-    /// benchmark harness and custom engine configurations).
-    pub fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
-        let layout = TableLayout::pack(self.dram.topology, &trace.tables, 0);
-        self.plans_prepared(&layout, &self.hot_directory(), trace)
-    }
-
-    /// [`plans`](Self::plans) with the layout and replica directory
-    /// already resolved — the per-batch half, shared with
-    /// [`open_session`]'s prepared path. The replica round-robin counter
-    /// starts at zero on every call (per-call semantics keep the serving
-    /// memo cache exact).
-    fn plans_prepared(
-        &self,
-        layout: &TableLayout,
-        hot: &HashMap<(usize, u64), u64>,
-        trace: &Trace,
-    ) -> Vec<LookupPlan> {
-        let topo = self.dram.topology;
-        let replica_base = layout.total_slots();
-        let replicas = u64::from(self.replicas);
-        let mut rr_counter = 0u64;
-        let mut plans = Vec::with_capacity(trace.lookups());
-        for (op_idx, op) in trace.iter_ops().enumerate() {
-            let bursts = topo.bursts_for(trace.tables[op.table].vector_bytes()) as u32;
-            for &row in &op.indices {
-                let addr = if let Some(&hot_idx) = hot.get(&(op.table, row)) {
-                    // Round-robin over the entry's replicas.
-                    rr_counter += 1;
-                    let slot = replica_base + hot_idx * replicas + (rr_counter % replicas);
-                    slot_to_addr(&topo, slot, 0)
-                } else {
-                    layout.locate(op.table, row).addr
-                };
-                plans.push(LookupPlan {
-                    op: op_idx,
-                    reads: vec![PlacedRead {
-                        addr,
-                        bursts,
-                        dest: self.dest(),
-                        salp: false,
-                        auto_precharge: true,
-                        write: false,
-                        node: self.node_of(&addr),
-                    }],
-                    cached: false,
-                });
-            }
-        }
-        plans
-    }
 }
 
 impl EmbeddingAccelerator for Trim {
@@ -182,37 +131,44 @@ impl EmbeddingAccelerator for Trim {
         self.level_name()
     }
 
-    fn run(&mut self, trace: &Trace) -> RunReport {
-        let plans = self.plans(trace);
-        let cfg = EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes());
-        execute(&cfg, trace, &plans)
-    }
-
-    fn open_session(&self, tables: &[EmbeddingTableSpec]) -> Box<dyn ServiceSession> {
-        let layout = TableLayout::pack(self.dram.topology, tables, 0);
+    /// Tables stay contiguous; hot entries round-robin over their
+    /// replicas, with the counter starting at zero on every planned trace.
+    /// PEs reduce whole vectors in trace order (replicas hold identical
+    /// data), so the default
+    /// [`compute_results`](EmbeddingAccelerator::compute_results) holds.
+    fn prepare(&self, tables: &[EmbeddingTableSpec]) -> Prepared {
+        let topo = self.dram.topology;
+        let level = self.level;
+        let replicas = u64::from(self.replicas);
+        let layout = TableLayout::pack(topo, tables, 0);
         let hot = self.hot_directory();
-        let mut cfg = EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes());
-        let model = self.clone();
-        let mut trace = Trace {
-            tables: tables.to_vec(),
-            batches: Vec::new(),
+        let plan = move |trace: &Trace| {
+            let replica_base = layout.total_slots();
+            let mut rr_counter = 0u64;
+            plan_lookups(trace, |table, row| {
+                let addr = if let Some(&hot_idx) = hot.get(&(table, row)) {
+                    // Round-robin over the entry's replicas.
+                    rr_counter += 1;
+                    let slot = replica_base + hot_idx * replicas + (rr_counter % replicas);
+                    slot_to_addr(&topo, slot, 0)
+                } else {
+                    layout.locate(table, row).addr
+                };
+                vec![PlacedRead {
+                    addr,
+                    bursts: topo.bursts_for(trace.tables[table].vector_bytes()) as u32,
+                    dest: level.dest(),
+                    salp: false,
+                    auto_precharge: true,
+                    write: false,
+                    node: level.node_of(&topo, &addr),
+                }]
+            })
         };
-        Box::new(MemoizedSession::new(
-            self.level_name(),
-            Box::new(move |batch: &Batch, traced: bool| {
-                trace.batches.clear();
-                trace.batches.push(batch.clone());
-                cfg.trace_commands = traced;
-                let plans = model.plans_prepared(&layout, &hot, &trace);
-                execute(&cfg, &trace, &plans).into()
-            }),
-        ))
-    }
-
-    fn compute_results(&mut self, trace: &Trace) -> Vec<Vec<f32>> {
-        // PEs reduce whole vectors in trace order (replicas hold identical
-        // data), numerically identical to the golden order.
-        reduce_trace(trace)
+        Prepared {
+            engine: EngineConfig::nmp(self.level_name(), self.dram.clone(), self.num_nodes()),
+            plan: Box::new(plan),
+        }
     }
 }
 

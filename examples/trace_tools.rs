@@ -1,7 +1,7 @@
 //! Trace tooling: generate a workload trace, characterize its skew, export
-//! it (and a command-timeline visualization) to files, and re-import it
-//! bit-exactly — the workflow for bringing external production traces into
-//! the simulator.
+//! it to a file, re-import it bit-exactly, and simulate it with a
+//! command-timeline visualization — the workflow for bringing external
+//! production traces into the simulator.
 //!
 //! ```text
 //! cargo run --release --example trace_tools
@@ -15,11 +15,10 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-use recross_repro::dram::controller::{Controller, SchedulePolicy};
 use recross_repro::dram::traceviz::write_chrome_trace;
 use recross_repro::dram::DramConfig;
 use recross_repro::nmp::accel::EmbeddingAccelerator;
-use recross_repro::nmp::Trim;
+use recross_repro::nmp::{execute, Prepared, Trim};
 use recross_repro::workload::io::{read_trace, write_trace};
 use recross_repro::workload::stats::{entropy_bits, gini, normalized_entropy};
 use recross_repro::workload::TraceGenerator;
@@ -62,35 +61,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         path.display()
     );
 
-    // 3. Simulate the imported trace and dump a command-timeline
-    //    visualization of the first requests.
+    // 3. Simulate the imported trace, recording its DRAM commands for a
+    //    command-timeline visualization.
     let cfg = DramConfig::ddr5_4800();
-    let report = Trim::bank_group(cfg.clone()).run(&back);
+    let Prepared { mut engine, plan } = Trim::bank_group(cfg.clone()).prepare(&back.tables);
+    engine.trace_commands = true;
+    let report = execute(&engine, &back, &plan(&back));
     println!(
         "TRiM-G on imported trace: {} cycles, row-hit rate {:.2}",
         report.cycles, report.row_hit_rate
     );
-    let mut ctl = Controller::new(cfg.clone(), SchedulePolicy::FrFcfs);
-    ctl.record_trace();
-    let plans = Trim::bank_group(cfg.clone()).plans(&back);
-    for (i, plan) in plans.iter().take(64).enumerate() {
-        for r in &plan.reads {
-            ctl.enqueue(recross_repro::dram::controller::ReadRequest {
-                id: i as u64,
-                addr: r.addr,
-                bursts: r.bursts,
-                ready_at: 0,
-                dest: r.dest,
-                salp: r.salp,
-                auto_precharge: r.auto_precharge,
-                write: r.write,
-            });
-        }
-    }
-    ctl.run();
     let json = dir.join("commands.json");
     write_chrome_trace(
-        &ctl.trace().unwrap(),
+        &report.commands.expect("commands recorded"),
         &cfg,
         BufWriter::new(File::create(&json)?),
     )?;
