@@ -3,6 +3,8 @@
 //! factor. Runs on a 1/100-scale trace so CI stays fast; EXPERIMENTS.md
 //! records the full-scale numbers.
 
+use std::sync::OnceLock;
+
 use recross_repro::dram::DramConfig;
 use recross_repro::nmp::accel::{EmbeddingAccelerator, RunReport};
 use recross_repro::nmp::{AccessProfile, CpuBaseline, RecNmp, TensorDimm, Trim};
@@ -18,7 +20,14 @@ fn generator() -> TraceGenerator {
         .batches(2)
 }
 
-fn run_all() -> Vec<RunReport> {
+/// The six-architecture comparison, simulated once and shared by every
+/// test that reads it.
+fn run_all() -> &'static [RunReport] {
+    static REPORTS: OnceLock<Vec<RunReport>> = OnceLock::new();
+    REPORTS.get_or_init(simulate_all)
+}
+
+fn simulate_all() -> Vec<RunReport> {
     let g = generator();
     let trace = g.generate(0xD17A);
     let dram = DramConfig::ddr5_4800();

@@ -1,11 +1,15 @@
 //! Cross-crate system invariants: conservation laws that must hold across
 //! any accelerator run, serialization round-trips through the full
-//! pipeline, and multi-channel consistency.
+//! pipeline, multi-channel consistency, and timing validity of every
+//! model's real DRAM command stream.
 
-use recross_repro::dram::DramConfig;
+use recross_repro::dram::check::check_trace;
+use recross_repro::dram::{CommandKind, DramConfig, IssuedCommand};
 use recross_repro::nmp::accel::EmbeddingAccelerator;
 use recross_repro::nmp::multichannel::{run_multichannel, ChannelPlan};
-use recross_repro::nmp::{AccessProfile, CpuBaseline, Fafnir, RecNmp, TensorDimm, Trim};
+use recross_repro::nmp::{
+    execute, AccessProfile, CpuBaseline, Fafnir, PlacedRead, Prepared, RecNmp, TensorDimm, Trim,
+};
 use recross_repro::recross::config::ReCrossConfig;
 use recross_repro::recross::engine::ReCross;
 use recross_repro::recross::profile::{analytic_profiles, empirical_profiles};
@@ -161,4 +165,65 @@ fn determinism_across_runs() {
     let mut s1 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
     let mut s2 = ReCross::new(ReCrossConfig::default(), analytic_profiles(&g), 4.0).expect("fits");
     assert_eq!(s1.run(&trace).cycles, s2.run(&trace).cycles);
+}
+
+/// The independent timing checker accepts the models' real command
+/// streams: every batch a serving session traces (CPU with and without
+/// LLC, the NMP baselines, ReCross d, c1–c5 and without SAP), and a
+/// read-modify-write stream (every gathered vector also written back in
+/// place, §4.5) long enough to span several refresh intervals.
+#[test]
+fn real_command_streams_pass_the_timing_checker() {
+    let d = DramConfig::ddr5_4800();
+    let check = |label: &str, commands: &[IssuedCommand]| {
+        let violations = check_trace(d.topology, d.timing, commands);
+        let first = violations.first().map(ToString::to_string);
+        assert_eq!(first, None, "{label}: {} violations", violations.len());
+    };
+    let g = generator();
+    let trace = g.generate(47);
+    let profile = AccessProfile::from_trace(&trace);
+    let mut models: Vec<Box<dyn EmbeddingAccelerator>> = vec![
+        Box::new(CpuBaseline::new(d.clone())),
+        Box::new(CpuBaseline::new(d.clone()).with_llc_bytes(32 * 1024 * 1024)),
+        Box::new(TensorDimm::new(d.clone())),
+        Box::new(RecNmp::new(d.clone())),
+        Box::new(Trim::bank_group(d.clone()).with_profile(profile.clone())),
+        Box::new(Trim::bank(d.clone()).with_profile(profile)),
+        Box::new(Fafnir::new(d.clone())),
+    ];
+    let mut configs = ReCrossConfig::exploration_set(d.clone());
+    configs.push(ReCrossConfig::default_d(d.clone()).without_sap());
+    for cfg in configs {
+        models.push(Box::new(
+            ReCross::new(cfg, analytic_profiles(&g), 4.0).expect("fits"),
+        ));
+    }
+    for model in &models {
+        let mut session = model.open_session(&trace.tables);
+        for batch in &trace.batches {
+            check(model.name(), &session.service_traced(batch).1);
+        }
+    }
+
+    let trace = TraceGenerator::criteo_scaled(64, 1000)
+        .batch_size(8)
+        .pooling(40)
+        .batches(2)
+        .generate(48);
+    let Prepared { mut engine, plan } = Trim::bank(d.clone()).prepare(&trace.tables);
+    let mut plans = plan(&trace);
+    for p in &mut plans {
+        let writes: Vec<_> = p
+            .reads
+            .iter()
+            .map(|r| PlacedRead { write: true, ..*r })
+            .collect();
+        p.reads.extend(writes);
+    }
+    engine.trace_commands = true;
+    let commands = execute(&engine, &trace, &plans).commands.expect("recorded");
+    let count = |kind| commands.iter().filter(|c| c.command.kind == kind).count();
+    assert!(count(CommandKind::Wr) > 0 && count(CommandKind::Ref) > 4);
+    check("TRiM-B write-back", &commands);
 }
