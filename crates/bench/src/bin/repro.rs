@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! repro [--quick] <fig3|fig4|fig5|fig6|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table2|table3|overheads|headline|all>
+//! repro [--quick] [table2|fig3|fig4|fig5|fig6|headline|fig9|fig10|fig11|fig12|fig13|fig14|fig15|table3|overheads|inst|channels|ddr4|training|all]...
 //! repro [--quick] serve [--qps-sweep] [--bursty] [--sjf|--edf] [--seed=N] [--out=FILE]
 //! repro [--quick] serve --slo-search [--slo-p99=US] [--bursty] [--sjf|--edf] [--seed=N] [--out=FILE]
 //! repro [--quick] serve --tenants=SPEC [--slo-search] [--fifo|--sjf] [--seed=N] [--out=FILE]
@@ -11,8 +11,9 @@
 //! repro [--quick] run [--arch=cpu|recross] [--seed=N] [--trace-out=FILE] [--agg-out=FILE] [--obs-summary[=FILE]] [--out=FILE]
 //! ```
 //!
-//! An unknown flag, a removed flag, or a value flag without its `=VALUE`
-//! exits with status 2 and one line on stderr.
+//! An unknown experiment name, an unknown flag, a removed flag, or a
+//! value flag without its `=VALUE` exits with status 2 and one line on
+//! stderr, before anything runs. With no name, `all` runs.
 //!
 //! `--quick` runs the 1/100-scale workload (seconds instead of minutes);
 //! the default is the paper-scale Criteo-Kaggle workload. `serve` runs the
@@ -66,137 +67,77 @@
 use recross_bench::experiments as exp;
 use recross_bench::workloads::{dram, standard_trace, Scale};
 
+/// Every experiment name, in run order: the name on the command line,
+/// whether `all` includes it, and what it runs. Both dispatch and the
+/// unknown-name check read this table.
+type Experiment = (&'static str, bool, fn(Scale, &[String]));
+const EXPERIMENTS: &[Experiment] = &[
+    ("table2", true, |_, _| table2()),
+    ("fig3", true, |s, _| fig3(s)),
+    ("fig4", true, |s, _| fig4(s)),
+    ("fig5", true, |s, _| fig5(s)),
+    ("fig6", true, |_, _| fig6()),
+    ("headline", true, |s, _| headline(s)),
+    ("fig9", true, |s, _| {
+        sweep(
+            "Figure 9: speedup over CPU vs embedding vector length",
+            "vlen",
+            exp::fig9_vector_length(s),
+        )
+    }),
+    ("fig10", true, |s, _| {
+        sweep(
+            "Figure 10: speedup over CPU vs batch size (vlen 64)",
+            "batch",
+            exp::fig10_batch_size(s),
+        )
+    }),
+    ("fig11", true, |s, _| {
+        sweep(
+            "Figure 11: speedup over CPU vs rank count (vlen 64)",
+            "ranks",
+            exp::fig11_rank_count(s),
+        )
+    }),
+    ("fig12", true, |s, _| fig12(s)),
+    ("fig13", true, |s, _| fig13(s)),
+    ("fig14", true, |s, _| fig14(s)),
+    ("fig15", true, |s, _| fig15(s)),
+    ("table3", true, |_, _| table3()),
+    ("overheads", true, |s, _| overheads(s)),
+    ("inst", true, |s, _| inst(s)),
+    ("channels", true, |s, _| channels(s)),
+    ("ddr4", true, |s, _| ddr4(s)),
+    ("training", true, |s, _| training(s)),
+    ("serve", false, serve),
+    ("run", false, run_traced),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = recross_bench::cli::check_flags(&args) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale = if quick { Scale::Quick } else { Scale::Paper };
     let what: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))
         .map(|s| s.as_str())
         .collect();
     let what = if what.is_empty() { vec!["all"] } else { what };
-    let all = what.contains(&"all");
-    let want = |k: &str| all || what.contains(&k);
-    let mut ran = false;
-
-    if want("table2") {
-        table2();
-        ran = true;
-    }
-    if want("fig3") {
-        fig3(scale);
-        ran = true;
-    }
-    if want("fig4") {
-        fig4(scale);
-        ran = true;
-    }
-    if want("fig5") {
-        fig5(scale);
-        ran = true;
-    }
-    if want("fig6") {
-        fig6();
-        ran = true;
-    }
-    if want("headline") {
-        headline(scale);
-        ran = true;
-    }
-    if want("fig9") {
-        sweep(
-            "Figure 9: speedup over CPU vs embedding vector length",
-            "vlen",
-            exp::fig9_vector_length(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig10") {
-        sweep(
-            "Figure 10: speedup over CPU vs batch size (vlen 64)",
-            "batch",
-            exp::fig10_batch_size(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig11") {
-        sweep(
-            "Figure 11: speedup over CPU vs rank count (vlen 64)",
-            "ranks",
-            exp::fig11_rank_count(scale)
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        );
-        ran = true;
-    }
-    if want("fig12") {
-        fig12(scale);
-        ran = true;
-    }
-    if want("fig13") {
-        fig13(scale);
-        ran = true;
-    }
-    if want("fig14") {
-        fig14(scale);
-        ran = true;
-    }
-    if want("fig15") {
-        fig15(scale);
-        ran = true;
-    }
-    if want("table3") {
-        table3();
-        ran = true;
-    }
-    if want("overheads") {
-        overheads(scale);
-        ran = true;
-    }
-    if want("inst") {
-        inst(scale);
-        ran = true;
-    }
-    if want("channels") {
-        channels(scale);
-        ran = true;
-    }
-    if want("ddr4") {
-        ddr4(scale);
-        ran = true;
-    }
-    if want("training") {
-        training(scale);
-        ran = true;
-    }
-    if what.contains(&"serve") {
-        serve(scale, &args);
-        ran = true;
-    }
-    if what.contains(&"run") {
-        run_traced(scale, &args);
-        ran = true;
-    }
-    if !ran {
-        eprintln!(
-            "unknown experiment {:?}; expected fig3..fig15, table2, table3, \
-             overheads, headline, inst, channels, ddr4, training, serve, run, \
-             all",
-            what
-        );
+    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).chain(["all"]).collect();
+    let checked = recross_bench::cli::check_flags(&args)
+        .and_then(|()| recross_bench::cli::check_experiments(&what, &known));
+    if let Err(e) = checked {
+        eprintln!("{e}");
         std::process::exit(2);
+    }
+    let scale = if args.iter().any(|a| a == "--quick") {
+        Scale::Quick
+    } else {
+        Scale::Paper
+    };
+    let all = what.contains(&"all");
+    for &(name, in_all, run) in EXPERIMENTS {
+        if (all && in_all) || what.contains(&name) {
+            run(scale, &args);
+        }
     }
 }
 
@@ -319,7 +260,7 @@ fn headline(scale: Scale) {
     }
 }
 
-fn sweep(title: &str, xname: &str, rows: Vec<(String, Vec<(String, f64)>)>) {
+fn sweep<X: std::fmt::Display>(title: &str, xname: &str, rows: Vec<(X, Vec<(String, f64)>)>) {
     banner(title);
     if let Some((_, first)) = rows.first() {
         print!("{xname:>6}");

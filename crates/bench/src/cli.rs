@@ -81,6 +81,18 @@ pub fn check_flags(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects the first experiment name that is not in `known`, so a typo
+/// never silently runs only the names that matched.
+pub fn check_experiments(names: &[&str], known: &[&str]) -> Result<(), String> {
+    match names.iter().find(|n| !known.contains(n)) {
+        Some(name) => Err(format!(
+            "unknown experiment {name:?}; expected one of {}",
+            known.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// The value of a `--key=value` option, if present (last wins).
 pub fn value_of<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
     let prefix = format!("{key}=");
@@ -439,6 +451,25 @@ mod tests {
         let err = check_flags(&args(&["run", "--dram-trace=x.json"])).unwrap_err();
         assert!(err.starts_with("--dram-trace was removed; use --trace-out=FILE"));
         assert!(check_flags(&args(&["run", "--trace-stream"])).is_err());
+    }
+
+    #[test]
+    fn check_experiments_accepts_known_names() {
+        let known = ["fig3", "fig4", "serve", "all"];
+        assert_eq!(check_experiments(&["fig3", "fig4"], &known), Ok(()));
+        assert_eq!(check_experiments(&["all", "serve"], &known), Ok(()));
+        assert_eq!(check_experiments(&[], &known), Ok(()));
+    }
+
+    #[test]
+    fn check_experiments_names_the_first_unknown_name() {
+        let known = ["fig3", "fig4", "all"];
+        let err = check_experiments(&["fig3", "fgi4", "fig8"], &known).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown experiment \"fgi4\"; expected one of fig3, fig4, all"
+        );
+        assert!(check_experiments(&["fig7"], &known).is_err());
     }
 
     #[test]

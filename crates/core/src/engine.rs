@@ -70,29 +70,6 @@ impl ReCross {
         &self.placement
     }
 
-    /// Replaces the placement (used by the dynamic re-scheduler).
-    pub(crate) fn set_placement(&mut self, placement: Placement) {
-        self.placement = placement;
-    }
-
-    /// Re-partitions and re-places from fresh profiles — the §4.5 response
-    /// to access-frequency drift: re-profile, re-solve the LP, remap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PartitionError`] if the new profiles cannot be placed; the
-    /// old placement is kept in that case.
-    pub fn repartition(
-        &mut self,
-        profiles: Vec<TableProfile>,
-        batch: f64,
-    ) -> Result<(), PartitionError> {
-        let placement = place(&self.cfg, &profiles, batch)?;
-        self.profiles = profiles;
-        self.set_placement(placement);
-        Ok(())
-    }
-
     /// The table profiles.
     pub fn profiles(&self) -> &[TableProfile] {
         &self.profiles

@@ -16,8 +16,9 @@
 //! | bankTag  | 1    | vector is at bank level (B-region), valid iff BGTag |
 //! | reserved | 3    | padding to 82 bits |
 
-/// Total instruction width in bits.
-pub const INSTRUCTION_BITS: u32 = 82;
+/// Total instruction width in bits: the width the engine prices the
+/// instruction channel with.
+pub const INSTRUCTION_BITS: u32 = recross_nmp::engine::NMP_INST_BITS;
 
 /// Reduction opcode (3 bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -247,6 +248,7 @@ mod tests {
 
     #[test]
     fn width_is_82_bits() {
+        assert_eq!(INSTRUCTION_BITS, 82);
         let w = sample().encode();
         assert_eq!(w >> INSTRUCTION_BITS, 0);
         // High tags occupy the very top bits below reserved.

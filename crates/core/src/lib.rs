@@ -44,7 +44,6 @@
 pub mod config;
 pub mod dynamic;
 pub mod engine;
-pub mod host;
 pub mod isa;
 pub mod partition;
 pub mod placement;
@@ -54,11 +53,9 @@ pub mod replication;
 
 pub use config::{ReCrossConfig, Region};
 pub use engine::ReCross;
-pub use host::{DispatchStats, EmbeddingRequest, NmpExtension};
 pub use isa::{NmpInstruction, NmpLevel, INSTRUCTION_BITS};
 pub use partition::{
-    bandwidth_aware_partition, naive_partition, ordered_partition, PartitionDecision,
-    RegionBandwidth, TableSplit,
+    bandwidth_aware_partition, naive_partition, PartitionDecision, RegionBandwidth, TableSplit,
 };
 pub use placement::Placement;
 pub use profile::{analytic_profiles, empirical_profiles, HotOrder, TableProfile};

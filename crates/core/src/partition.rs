@@ -328,236 +328,6 @@ pub fn bandwidth_aware_partition(
     })
 }
 
-/// The region-ordered *water-filling* partitioner: an exact alternative to
-/// the LP that moves marginal popularity-rank chunks between regions until
-/// the per-region latencies equalize.
-///
-/// Unlike the segment LP (which may interleave regions within a table),
-/// this enforces the strict ordering hottest→B, middle→G, tail→R per table
-/// and greedily reassigns the chunk with the highest marginal benefit each
-/// iteration. It serves as an ablation of the paper's LP formulation: on
-/// concave CDFs both converge to near-identical latency bounds.
-pub fn ordered_partition(
-    profiles: &[TableProfile],
-    map: &RegionMap,
-    bw: &RegionBandwidth,
-    batch: f64,
-    chunks: usize,
-    iterations: usize,
-) -> PartitionDecision {
-    assert!(chunks >= 1, "need at least one chunk per table");
-    let n = profiles.len();
-    // State: per table, number of chunks assigned to B and to G (the rest
-    // is R); chunk boundaries are *geometric* in the popularity axis so
-    // the hot head is finely divisible (a uniform first chunk of a Zipf
-    // table would carry most of its accesses in one indivisible lump).
-    let boundary = |k: usize| (k as f64 / chunks as f64).powi(3);
-    let mut b_chunks = vec![0usize; n];
-    let mut g_chunks = vec![0usize; n];
-    let weight = |i: usize| {
-        profiles[i].pool * profiles[i].spec.vector_bytes() as f64 * profiles[i].prob * batch
-    };
-    let share = |i: usize, lo: usize, hi: usize| {
-        let p = &profiles[i];
-        p.cdf(boundary(hi)) - p.cdf(boundary(lo))
-    };
-    let chunk_bytes =
-        |i: usize, k: usize| profiles[i].spec.bytes() as f64 * (boundary(k + 1) - boundary(k));
-    let caps = [
-        map.capacity_bytes(Region::R) as f64,
-        map.capacity_bytes(Region::G) as f64,
-        map.capacity_bytes(Region::B) as f64,
-    ];
-    let mut loads = [0.0f64; 3]; // bytes accessed per region
-    let mut used = [0.0f64; 3]; // capacity bytes per region
-    for i in 0..n {
-        loads[Region::R.index()] += weight(i); // everything starts in R
-        used[Region::R.index()] += profiles[i].spec.bytes() as f64;
-    }
-    let latency = |loads: &[f64; 3]| {
-        (0..3)
-            .map(|j| loads[j] / bw.bytes_per_cycle[j])
-            .fold(0.0f64, f64::max)
-    };
-    // Potential: the total of per-region latencies. Every move toward a
-    // faster region strictly decreases it, so accepting max-neutral
-    // potential-decreasing moves cannot cycle.
-    let potential = |loads: &[f64; 3]| {
-        (0..3)
-            .map(|j| loads[j] / bw.bytes_per_cycle[j])
-            .sum::<f64>()
-    };
-    for _ in 0..iterations {
-        // Candidate moves: promote a table's next chunk across the R→G or
-        // G→B boundary, keeping the per-table hotness ordering.
-        let mut best: Option<(f64, usize, Region)> = None;
-        let mut lateral: Option<(f64, usize, Region)> = None;
-        let mut free: Option<(usize, Region)> = None;
-        let current = latency(&loads);
-        let current_potential = potential(&loads);
-        for i in 0..n {
-            let assigned = b_chunks[i] + g_chunks[i];
-            for region in [Region::G, Region::B] {
-                if region == Region::G && assigned >= chunks {
-                    continue;
-                }
-                if region == Region::B && b_chunks[i] >= chunks {
-                    continue;
-                }
-                if region == Region::B && g_chunks[i] == 0 && assigned >= chunks {
-                    continue;
-                }
-                let next_chunk = if region == Region::B {
-                    b_chunks[i]
-                } else {
-                    assigned
-                };
-                if used[region.index()] + chunk_bytes(i, next_chunk) > caps[region.index()] {
-                    continue;
-                }
-                let s = if region == Region::B {
-                    share(i, b_chunks[i], b_chunks[i] + 1)
-                } else {
-                    share(i, assigned, assigned + 1)
-                };
-                let mut trial = loads;
-                if region == Region::B {
-                    if g_chunks[i] > 0 {
-                        trial[Region::G.index()] -= s * weight(i);
-                    } else {
-                        trial[Region::R.index()] -= s * weight(i);
-                    }
-                    trial[Region::B.index()] += s * weight(i);
-                } else {
-                    trial[Region::R.index()] -= s * weight(i);
-                    trial[Region::G.index()] += s * weight(i);
-                }
-                let t = latency(&trial);
-                let pot = potential(&trial);
-                if t < current - 1e-9 && best.is_none_or(|(bt, _, _)| t < bt) {
-                    best = Some((t, i, region));
-                } else if t <= current + 1e-9
-                    && pot < current_potential - 1e-9
-                    && lateral.is_none_or(|(lp, _, _)| pot < lp)
-                {
-                    // Max-neutral move into a faster region: frees headroom
-                    // for later max-reducing moves (e.g. G→B while R is the
-                    // bottleneck).
-                    lateral = Some((pot, i, region));
-                } else if s * weight(i) == 0.0 && free.is_none() {
-                    // An empty chunk (rounds to zero rows for tiny tables):
-                    // advancing over it is free and unblocks later chunks.
-                    free = Some((i, region));
-                }
-            }
-        }
-        // Demotion candidates (coldest chunk back toward a slower region):
-        // strict improvers only — they undo overshoot once B or G becomes
-        // the bottleneck. Encoded as (table, from-region).
-        let mut demote: Option<(f64, usize, Region)> = None;
-        for i in 0..n {
-            // B → G: coldest B chunk.
-            if b_chunks[i] > 0 {
-                let k = b_chunks[i] - 1;
-                let sw = share(i, k, k + 1) * weight(i);
-                let mut trial = loads;
-                trial[Region::B.index()] -= sw;
-                trial[Region::G.index()] += sw;
-                let t = latency(&trial);
-                if t < current - 1e-9 && demote.is_none_or(|(dt, _, _)| t < dt) {
-                    demote = Some((t, i, Region::B));
-                }
-            }
-            // G → R: coldest G chunk.
-            if g_chunks[i] > 0 {
-                let k = b_chunks[i] + g_chunks[i] - 1;
-                let sw = share(i, k, k + 1) * weight(i);
-                let mut trial = loads;
-                trial[Region::G.index()] -= sw;
-                trial[Region::R.index()] += sw;
-                let t = latency(&trial);
-                if t < current - 1e-9 && demote.is_none_or(|(dt, _, _)| t < dt) {
-                    demote = Some((t, i, Region::G));
-                }
-            }
-        }
-        if let Some((dt, di, dfrom)) = demote {
-            let better_than_best = best.is_none_or(|(bt, _, _)| dt < bt);
-            if better_than_best {
-                if dfrom == Region::B {
-                    let k = b_chunks[di] - 1;
-                    let sw = share(di, k, k + 1) * weight(di);
-                    b_chunks[di] -= 1;
-                    g_chunks[di] += 1;
-                    loads[Region::B.index()] -= sw;
-                    loads[Region::G.index()] += sw;
-                    used[Region::B.index()] -= chunk_bytes(di, k);
-                    used[Region::G.index()] += chunk_bytes(di, k);
-                } else {
-                    let k = b_chunks[di] + g_chunks[di] - 1;
-                    let sw = share(di, k, k + 1) * weight(di);
-                    g_chunks[di] -= 1;
-                    loads[Region::G.index()] -= sw;
-                    loads[Region::R.index()] += sw;
-                    used[Region::G.index()] -= chunk_bytes(di, k);
-                    used[Region::R.index()] += chunk_bytes(di, k);
-                }
-                continue;
-            }
-        }
-        let chosen = best
-            .map(|(_, i, r)| (i, r))
-            .or(lateral.map(|(_, i, r)| (i, r)))
-            .or(free);
-        let Some((i, region)) = chosen else { break };
-        if region == Region::B {
-            let k = b_chunks[i];
-            let s = share(i, k, k + 1);
-            if g_chunks[i] > 0 {
-                g_chunks[i] -= 1;
-                loads[Region::G.index()] -= s * weight(i);
-                used[Region::G.index()] -= chunk_bytes(i, k);
-            } else {
-                loads[Region::R.index()] -= s * weight(i);
-                used[Region::R.index()] -= chunk_bytes(i, k);
-            }
-            b_chunks[i] += 1;
-            loads[Region::B.index()] += s * weight(i);
-            used[Region::B.index()] += chunk_bytes(i, k);
-        } else {
-            let assigned = b_chunks[i] + g_chunks[i];
-            let s = share(i, assigned, assigned + 1);
-            g_chunks[i] += 1;
-            loads[Region::R.index()] -= s * weight(i);
-            loads[Region::G.index()] += s * weight(i);
-            used[Region::R.index()] -= chunk_bytes(i, assigned);
-            used[Region::G.index()] += chunk_bytes(i, assigned);
-        }
-    }
-    // Materialize splits.
-    let mut splits = Vec::with_capacity(n);
-    for (i, p) in profiles.iter().enumerate() {
-        let rows = p.spec.rows;
-        let b_end = (rows as f64 * boundary(b_chunks[i])).round() as u64;
-        let g_end = (rows as f64 * boundary(b_chunks[i] + g_chunks[i])).round() as u64;
-        let (b_end, g_end) = (b_end.min(rows), g_end.clamp(b_end.min(rows), rows));
-        let mut ranges = Vec::new();
-        push_range(&mut ranges, 0, b_end, Region::B);
-        push_range(&mut ranges, b_end, g_end, Region::G);
-        push_range(&mut ranges, g_end, rows, Region::R);
-        if ranges.is_empty() {
-            ranges.push((0, rows, Region::R));
-        }
-        splits.push(TableSplit::new(ranges));
-    }
-    let predicted_cycles = latency(&loads);
-    PartitionDecision {
-        splits,
-        region_load_bytes: loads,
-        predicted_cycles,
-    }
-}
-
 /// The naive (ReCross-Base) split: every table divided in proportion to the
 /// region capacities, hottest ranks to B, then G, then R — no bandwidth
 /// quantification.
@@ -715,46 +485,6 @@ mod tests {
         let s = &d.splits[2];
         let b_frac = s.count_in(Region::B) as f64 / p.spec.rows as f64;
         assert!((b_frac - 4.0 / 32.0).abs() < 0.01, "B share {b_frac}");
-    }
-
-    #[test]
-    fn ordered_partition_close_to_lp() {
-        let (profiles, map, bw) = setup();
-        let lp = bandwidth_aware_partition(&profiles, &map, &bw, 32.0, 16).unwrap();
-        let ordered = ordered_partition(&profiles, &map, &bw, 32.0, 32, 5_000);
-        // The greedy ordered refinement should land within 25% of the LP's
-        // latency bound on concave CDFs.
-        assert!(
-            ordered.predicted_cycles <= lp.predicted_cycles * 1.25 + 1.0,
-            "ordered {} vs lp {}",
-            ordered.predicted_cycles,
-            lp.predicted_cycles
-        );
-        // And must cover all rows.
-        for (p, s) in profiles.iter().zip(&ordered.splits) {
-            let covered: u64 = Region::ALL.iter().map(|&r| s.count_in(r)).sum();
-            assert_eq!(covered, p.spec.rows);
-        }
-    }
-
-    #[test]
-    fn ordered_partition_monotone_regions() {
-        let (profiles, map, bw) = setup();
-        let d = ordered_partition(&profiles, &map, &bw, 32.0, 16, 2_000);
-        // Strict hotness ordering per table: B ranges before G before R.
-        for split in &d.splits {
-            let mut last = Region::B;
-            for &(_, _, r) in split.ranges() {
-                assert!(
-                    r.index() >= last.index()
-                        || r == last
-                        || (last == Region::B && r == Region::G)
-                        || (last == Region::G && r == Region::R)
-                        || last == Region::B && r == Region::R
-                );
-                last = r;
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Physical addresses and address mapping.
+//! Physical addresses.
 //!
 //! A [`PhysAddr`] names one burst-aligned location by its position in the
-//! DRAM hierarchy. The mapping from linear byte addresses interleaves
-//! columns across bank-groups/banks first (the usual bandwidth-friendly
-//! XOR-free scheme), but accelerator models mostly construct `PhysAddr`
-//! values directly from their placement logic.
+//! DRAM hierarchy. The controller takes addresses already decomposed:
+//! accelerator models build them from their placement logic (the
+//! contiguous row-slot mapping lives in `recross_nmp::layout`).
 
 use crate::config::Topology;
 
@@ -51,21 +50,6 @@ impl PhysAddr {
             && self.row < topo.rows_per_bank
             && self.col_byte < topo.row_bytes
     }
-
-    /// Encodes to a linear byte address (inverse of
-    /// [`AddressMapper::decode`]).
-    pub fn encode(&self, topo: &Topology) -> u64 {
-        let bursts_per_row = u64::from(topo.row_bytes / topo.burst_bytes);
-        let burst = u64::from(self.col_byte / topo.burst_bytes);
-        let within = u64::from(self.col_byte % topo.burst_bytes);
-        // Order (MSB→LSB): row, rank, bank_group, bank, burst, byte.
-        let mut v = u64::from(self.row);
-        v = v * u64::from(topo.ranks) + u64::from(self.rank);
-        v = v * u64::from(topo.bank_groups) + u64::from(self.bank_group);
-        v = v * u64::from(topo.banks_per_group) + u64::from(self.bank);
-        v = v * bursts_per_row + burst;
-        v * u64::from(topo.burst_bytes) + within
-    }
 }
 
 impl core::fmt::Display for PhysAddr {
@@ -78,80 +62,6 @@ impl core::fmt::Display for PhysAddr {
     }
 }
 
-/// Maps linear byte addresses to [`PhysAddr`] with column-interleaving
-/// across banks (consecutive bursts rotate bank, bank-group, rank; rows
-/// change slowest). With [`AddressMapper::with_xor_interleave`], low row
-/// bits are XOR-folded into the bank index — the permutation-based bank
-/// interleave real controllers use to break row-conflict streaks on
-/// power-of-two strides.
-#[derive(Debug, Clone, Copy)]
-pub struct AddressMapper {
-    topo: Topology,
-    xor_interleave: bool,
-}
-
-impl AddressMapper {
-    /// Creates a mapper for the given topology.
-    pub fn new(topo: Topology) -> Self {
-        topo.validate();
-        Self {
-            topo,
-            xor_interleave: false,
-        }
-    }
-
-    /// Enables XOR bank interleaving (bank ^= low row bits).
-    pub fn with_xor_interleave(mut self) -> Self {
-        self.xor_interleave = true;
-        self
-    }
-
-    /// The topology this mapper targets.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Decodes a linear byte address (single-channel; channel = 0).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address exceeds the channel capacity.
-    pub fn decode(&self, addr: u64) -> PhysAddr {
-        let t = &self.topo;
-        assert!(addr < t.channel_bytes(), "address beyond channel capacity");
-        let bursts_per_row = u64::from(t.row_bytes / t.burst_bytes);
-        let mut v = addr / u64::from(t.burst_bytes);
-        let within = (addr % u64::from(t.burst_bytes)) as u32;
-        let burst = (v % bursts_per_row) as u32;
-        v /= bursts_per_row;
-        let mut bank = (v % u64::from(t.banks_per_group)) as u32;
-        v /= u64::from(t.banks_per_group);
-        let mut bank_group = (v % u64::from(t.bank_groups)) as u32;
-        v /= u64::from(t.bank_groups);
-        let rank = (v % u64::from(t.ranks)) as u32;
-        v /= u64::from(t.ranks);
-        let row = v as u32;
-        if self.xor_interleave {
-            // Fold low row bits into the bank / bank-group indices. Only
-            // valid when the counts are powers of two (checked lazily: the
-            // XOR stays in range via masking against count-1, which is a
-            // true permutation only for powers of two).
-            debug_assert!(t.banks_per_group.is_power_of_two());
-            debug_assert!(t.bank_groups.is_power_of_two());
-            bank ^= row & (t.banks_per_group - 1);
-            bank_group ^= (row >> t.banks_per_group.trailing_zeros()) & (t.bank_groups - 1);
-        }
-        PhysAddr {
-            channel: 0,
-            rank,
-            bank_group,
-            bank,
-            row,
-            col_byte: burst * t.burst_bytes + within,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,83 +69,6 @@ mod tests {
 
     fn topo() -> Topology {
         DramConfig::ddr5_4800().topology
-    }
-
-    #[test]
-    fn roundtrip_decode_encode() {
-        let t = topo();
-        let m = AddressMapper::new(t);
-        for addr in [0u64, 64, 8_192, 1 << 20, (t.channel_bytes() - 64)] {
-            let p = m.decode(addr);
-            assert!(p.is_valid(&t), "{p}");
-            assert_eq!(p.encode(&t), addr);
-        }
-    }
-
-    #[test]
-    fn consecutive_bursts_same_bank_same_row() {
-        // Within a row's bursts the bank doesn't change; banks rotate at row
-        // granularity in this mapping.
-        let m = AddressMapper::new(topo());
-        let a = m.decode(0);
-        let b = m.decode(64);
-        assert_eq!(a.flat_bank(&topo()), b.flat_bank(&topo()));
-        assert_eq!(a.row, b.row);
-        assert_eq!(b.col_byte, 64);
-    }
-
-    #[test]
-    fn rows_rotate_across_banks() {
-        let t = topo();
-        let m = AddressMapper::new(t);
-        let row_bytes = u64::from(t.row_bytes);
-        let a = m.decode(0);
-        let b = m.decode(row_bytes);
-        assert_ne!(a.flat_bank(&t), b.flat_bank(&t));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond channel capacity")]
-    fn decode_out_of_range_panics() {
-        let t = topo();
-        AddressMapper::new(t).decode(t.channel_bytes());
-    }
-
-    #[test]
-    fn xor_interleave_is_bijective_per_row() {
-        let t = topo();
-        let plain = AddressMapper::new(t);
-        let xored = AddressMapper::new(t).with_xor_interleave();
-        // Within one (nonzero) row id the bank permutation must stay a
-        // bijection; row 0 XORs to the identity, so probe row 5.
-        let mut seen = std::collections::HashSet::new();
-        let row_bytes = u64::from(t.row_bytes);
-        let banks = u64::from(t.banks_per_channel());
-        let base = 5 * banks; // slots of row 5
-        for slot in 0..banks {
-            let a = xored.decode((base + slot) * row_bytes);
-            assert_eq!(a.row, 5);
-            assert!(seen.insert(a.flat_bank(&t)), "bank collision at {slot}");
-        }
-        // And differs from the plain mapping somewhere.
-        let differs = (0..banks).any(|slot| {
-            plain.decode((base + slot) * row_bytes).flat_bank(&t)
-                != xored.decode((base + slot) * row_bytes).flat_bank(&t)
-        });
-        assert!(differs);
-    }
-
-    #[test]
-    fn xor_interleave_breaks_row_stride_conflicts() {
-        // Strided accesses (same bank in the plain map once the stride
-        // covers all banks × row) spread across banks with XOR folding.
-        let t = topo();
-        let xored = AddressMapper::new(t).with_xor_interleave();
-        let stride = u64::from(t.row_bytes) * u64::from(t.banks_per_channel());
-        let banks: std::collections::HashSet<u32> = (0..8u64)
-            .map(|i| xored.decode(i * stride).flat_bank(&t))
-            .collect();
-        assert!(banks.len() > 1, "stride must not pin one bank");
     }
 
     #[test]

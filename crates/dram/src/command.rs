@@ -87,15 +87,6 @@ impl Command {
             data_scope: DataScope::Rank,
         }
     }
-
-    /// A read whose data stops at the given scope.
-    pub fn read_to(addr: PhysAddr, data_scope: DataScope) -> Self {
-        Self {
-            kind: CommandKind::Rd,
-            addr,
-            data_scope,
-        }
-    }
 }
 
 /// A command together with the cycle it was issued — the unit of the

@@ -419,18 +419,6 @@ impl Controller {
         &mut self.stats.energy
     }
 
-    /// Channel-bus utilization over the run so far.
-    pub fn channel_utilization(&self) -> f64 {
-        self.channel_bus.utilization(0, self.stats.finish)
-    }
-
-    /// Per-rank data-bus utilizations over the run so far.
-    pub fn rank_utilizations(&self) -> Vec<f64> {
-        (0..self.cfg.topology.ranks as usize)
-            .map(|r| self.rank_bus.utilization(r, self.stats.finish))
-            .collect()
-    }
-
     /// Chooses the globally earliest next command:
     /// `(bank, index, step, estimated cycle)`.
     fn pick_next(&self) -> Option<(usize, usize, Step, Cycle)> {

@@ -8,7 +8,7 @@
 //! * [`config`] — topology (ranks / bank-groups / banks / subarrays),
 //!   timing (tRCD, tCL, tRP, tRAS, tRC, tBL, tCCD_S/L, tFAW, tRRD, tRTP and
 //!   the new tRA) and energy constants;
-//! * [`addr`] — decomposed physical addresses and linear-address mapping;
+//! * [`addr`] — decomposed physical addresses;
 //! * [`command`] — ACT / RD / PRE plus the SALP extension commands
 //!   (`ACT_SA`, `SEL_SA`) of the paper's §4.1;
 //! * [`timing`] — the constraint engine every scheduler issues through;
@@ -48,7 +48,7 @@ pub mod energy;
 pub mod timing;
 pub mod traceviz;
 
-pub use addr::{AddressMapper, PhysAddr};
+pub use addr::PhysAddr;
 pub use attribution::{CommandAttribution, PeBusy};
 pub use command::{Command, CommandKind, DataScope, IssuedCommand};
 pub use config::{Cycle, DramConfig, EnergyParams, TimingParams, Topology};

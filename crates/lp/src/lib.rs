@@ -7,9 +7,10 @@
 //!
 //! * [`problem`] — LP builder ([`LpProblem`]) with ≤/=/≥ constraints,
 //!   non-negative variables and upper bounds;
-//! * [`simplex`] — dense two-phase primal simplex with anti-cycling;
-//! * [`pwl`] — piecewise-linearization of the concave access CDFs so they
-//!   can enter the LP.
+//! * [`simplex`] — dense two-phase primal simplex with anti-cycling.
+//!
+//! The concave access CDFs enter the LP as per-segment access shares;
+//! `recross::partition` cuts them into segments itself.
 //!
 //! # Examples
 //!
@@ -28,8 +29,6 @@
 //! ```
 
 pub mod problem;
-pub mod pwl;
 pub mod simplex;
 
 pub use problem::{Constraint, LpError, LpProblem, LpSolution, Objective, Relation};
-pub use pwl::PiecewiseLinear;

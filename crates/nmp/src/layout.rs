@@ -4,8 +4,8 @@
 //! are allocated contiguously in the memory and a row index also serves as
 //! the memory offset" (paper §3.1). Vectors pack into DRAM rows;
 //! consecutive DRAM rows rotate across the channel's banks (the standard
-//! bandwidth-friendly interleave of [`recross_dram::AddressMapper`]), so
-//! hot embedding rows land on effectively random banks.
+//! bandwidth-friendly interleave, [`slot_to_addr`]), so hot embedding rows
+//! land on effectively random banks.
 
 use recross_dram::{PhysAddr, Topology};
 use recross_workload::EmbeddingTableSpec;
@@ -218,6 +218,17 @@ mod tests {
             u64::from(flat) + u64::from(t.banks_per_channel()) * u64::from(a.row),
             12_345 % u64::from(t.banks_per_channel())
                 + u64::from(t.banks_per_channel()) * (12_345 / u64::from(t.banks_per_channel()))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "row slot out of range")]
+    fn slot_beyond_channel_panics() {
+        let t = topo();
+        slot_to_addr(
+            &t,
+            u64::from(t.banks_per_channel()) * u64::from(t.rows_per_bank),
+            0,
         );
     }
 }

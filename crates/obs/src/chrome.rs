@@ -114,11 +114,6 @@ impl<W: Write> ChromeStreamSink<W> {
         &self.w
     }
 
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-
     fn flush_buf(&mut self) {
         if self.err.is_none() {
             if let Err(e) = self.w.write_all(self.buf.as_bytes()) {

@@ -21,8 +21,6 @@
 //!   become threads) in bounded memory — [`write_chrome_trace`] is the
 //!   same formatter replayed over a buffered recorder, so streamed and
 //!   in-memory exports are byte-identical;
-//! * [`RingSink`] keeps only the newest N events with an explicit drop
-//!   counter;
 //! * [`agg::Aggregator`] folds the stream into online summaries —
 //!   per-tenant time-in-queue/-service histograms (the log-scale
 //!   [`hist::LatencyHistogram`] lives here too), per-channel busy
@@ -81,4 +79,4 @@ pub mod sink;
 pub use chrome::{chrome_trace_string, write_chrome_trace, ChromeStreamSink, STREAM_CHUNK};
 pub use json::{fmt_f64, json_string};
 pub use recorder::{Event, EventKind, Recorder, StrId, TrackId};
-pub use sink::{EventSink, MemorySink, RingSink, SharedWriter, SinkStats};
+pub use sink::{EventSink, MemorySink, SharedWriter, SinkStats};

@@ -8,9 +8,6 @@
 //! * [`MemorySink`] — retains every event in a `Vec` (the classic
 //!   in-memory recorder; [`Recorder::new`](crate::Recorder::new) installs
 //!   one by default so `events()`/`validate()` keep working);
-//! * [`RingSink`] — retains only the newest `capacity` events and counts
-//!   what it evicted, so capped captures are *visibly* capped rather than
-//!   silently truncated;
 //! * [`ChromeStreamSink`](crate::ChromeStreamSink) — formats each event
 //!   to Perfetto/Chrome-trace JSON as it arrives and flushes to an
 //!   `io::Write` in fixed-size chunks, so a long run can be traced in
@@ -28,7 +25,6 @@
 //! events discarded after the failure in [`EventSink::dropped`].
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io;
 use std::rc::Rc;
 
@@ -42,7 +38,7 @@ use crate::recorder::{Event, StrId, TrackId};
 /// tracks before their first event, events in recording order.
 pub trait EventSink {
     /// Short stable name of the sink type (used in reports: `"memory"`,
-    /// `"ring"`, `"chrome-stream"`, `"agg"`).
+    /// `"chrome-stream"`, `"agg"`).
     fn kind(&self) -> &'static str;
 
     /// A newly interned string; ids arrive densely in order `0, 1, 2, …`.
@@ -67,7 +63,7 @@ pub trait EventSink {
         Ok(())
     }
 
-    /// Events this sink discarded (ring eviction, post-error writes).
+    /// Events this sink discarded (e.g. writes after an I/O error).
     /// Zero for lossless sinks.
     fn dropped(&self) -> u64 {
         0
@@ -226,118 +222,10 @@ impl io::Write for SharedWriter {
     }
 }
 
-/// A bounded sink keeping only the newest `capacity` events, with an
-/// explicit eviction counter — the "flight recorder" mode. Nothing is
-/// dropped silently: [`RingSink::dropped`] (surfaced through
-/// [`SinkStats`]) says exactly how many events aged out.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<Event>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring retaining at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring sink needs a positive capacity");
-        Self {
-            capacity,
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained (newest) events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Events currently retained (`≤ capacity`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The retention cap this ring was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl EventSink for RingSink {
-    fn kind(&self) -> &'static str {
-        "ring"
-    }
-    fn on_event(&mut self, event: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*event);
-    }
-    fn dropped(&self) -> u64 {
-        self.dropped
-    }
-    fn heap_capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
-
-    #[test]
-    fn ring_sink_keeps_newest_and_counts_drops() {
-        let mut rec = Recorder::unbuffered();
-        rec.attach(Box::new(RingSink::new(4)));
-        let t = rec.track("t", None);
-        for i in 0..10u64 {
-            rec.instant(t, "tick", i);
-        }
-        let stats = rec.sink_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].kind, "ring");
-        assert_eq!(stats[0].dropped, 6, "10 offered, 4 retained");
-        assert_eq!(rec.dropped_events(), 6);
-        // The ring's heap never exceeds its cap (VecDeque rounds up to a
-        // power of two).
-        assert!(stats[0].heap_capacity <= 8, "{}", stats[0].heap_capacity);
-    }
-
-    #[test]
-    fn ring_sink_retains_in_order() {
-        let mut ring = RingSink::new(2);
-        let mut rec = Recorder::new();
-        let t = rec.track("t", None);
-        rec.instant(t, "a", 1);
-        rec.instant(t, "b", 2);
-        rec.instant(t, "c", 3);
-        for e in rec.events() {
-            ring.on_event(e);
-        }
-        let ts: Vec<u64> = ring.events().map(|e| e.ts).collect();
-        assert_eq!(ts, vec![2, 3]);
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.capacity(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive capacity")]
-    fn zero_capacity_ring_rejected() {
-        RingSink::new(0);
-    }
 
     #[test]
     fn memory_sink_is_lossless() {
@@ -358,24 +246,24 @@ mod tests {
     #[test]
     fn sink_stats_json_is_deterministic() {
         let s = SinkStats {
-            kind: "ring",
+            kind: "chrome-stream",
             dropped: 3,
             heap_capacity: 8,
         };
         assert_eq!(
             s.to_json(),
-            "{\"kind\":\"ring\",\"dropped\":3,\"heap_capacity\":8}"
+            "{\"kind\":\"chrome-stream\",\"dropped\":3,\"heap_capacity\":8}"
         );
     }
 
     #[test]
     fn shared_sink_handle_sees_the_stream() {
-        let ring = Rc::new(RefCell::new(RingSink::new(8)));
+        let memory = Rc::new(RefCell::new(MemorySink::new()));
         let mut rec = Recorder::unbuffered();
-        rec.attach(Box::new(Rc::clone(&ring)));
+        rec.attach(Box::new(Rc::clone(&memory)));
         let t = rec.track("t", None);
         rec.instant(t, "x", 1);
         rec.instant(t, "y", 2);
-        assert_eq!(ring.borrow().len(), 2);
+        assert_eq!(memory.borrow().events().len(), 2);
     }
 }
