@@ -426,7 +426,7 @@ pub fn partitioning_overheads(scale: Scale) -> (f64, u64, f64) {
         &map,
         &bw,
         g.batch_size_value() as f64,
-        cfg.pwl_segments,
+        recross::partition::PWL_SEGMENTS,
     )
     .expect("feasible");
     let lp_millis = start.elapsed().as_secs_f64() * 1_000.0;
@@ -544,8 +544,9 @@ pub fn training_updates(scale: Scale) -> Vec<(String, f64, u64, u64, f64)> {
 
     // ReCross: updates written to the R-region (cold, §4.5).
     let profiles = analytic_profiles(&g);
-    let rc = ReCross::new(ReCrossConfig::default_d(d), profiles, batch).expect("fits");
-    let map = rc.placement().region_map();
+    let cfg = ReCrossConfig::default_d(d);
+    let map = RegionMap::new(&cfg);
+    let rc = ReCross::new(cfg, profiles, batch).expect("fits");
     let r_slots = map.vector_slots(Region::R, 256);
     measure("ReCross", rc.prepare(&trace.tables), &|w, seq| {
         // Cold landing slot in the R-region, from the top.

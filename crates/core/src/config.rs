@@ -64,14 +64,6 @@ pub struct ReCrossConfig {
     pub las: bool,
     /// Two-stage NMP-instruction transfer over C/A + DQ pins (§4.2).
     pub two_stage_inst: bool,
-    /// Piecewise-linear segments per table CDF in the BWP LP.
-    pub pwl_segments: usize,
-    /// The reduction operation the PEs perform (§4.1).
-    pub reduction: recross_workload::Reduction,
-    /// Hot-entry replication in the B-region: `(hot ranks per table,
-    /// replicas per entry)`. `None` disables (the paper's ReCross relies on
-    /// BWP alone; this is the TRiM-style extension for ablations).
-    pub hot_replication: Option<(u64, u32)>,
 }
 
 impl ReCrossConfig {
@@ -127,9 +119,6 @@ impl ReCrossConfig {
             bwp: true,
             las: true,
             two_stage_inst: true,
-            pwl_segments: 16,
-            reduction: recross_workload::Reduction::WeightedSum,
-            hot_replication: None,
         };
         cfg.validate();
         cfg
@@ -150,13 +139,6 @@ impl ReCrossConfig {
     /// Disables locality-aware scheduling (ablation).
     pub fn without_las(mut self) -> Self {
         self.las = false;
-        self
-    }
-
-    /// Enables TRiM-style hot-entry replication in the B-region.
-    pub fn with_hot_replication(mut self, per_table: u64, replicas: u32) -> Self {
-        assert!(per_table > 0 && replicas > 0);
-        self.hot_replication = Some((per_table, replicas));
         self
     }
 
@@ -198,7 +180,6 @@ impl ReCrossConfig {
             self.bank_pes_per_rank <= self.bg_pes_per_rank * t.banks_per_group,
             "bank PEs must live inside NMP-featured bank groups"
         );
-        assert!(self.pwl_segments >= 1, "need at least one PWL segment");
     }
 }
 

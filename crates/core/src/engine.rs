@@ -17,12 +17,11 @@ use recross_workload::{EmbeddingTableSpec, Trace};
 
 use crate::config::{ReCrossConfig, Region};
 use crate::partition::{
-    bandwidth_aware_partition, naive_partition, PartitionError, RegionBandwidth,
+    bandwidth_aware_partition, naive_partition, PartitionError, RegionBandwidth, PWL_SEGMENTS,
 };
 use crate::placement::Placement;
 use crate::profile::TableProfile;
 use crate::regions::RegionMap;
-use crate::replication::HotReplicas;
 
 /// The assembled ReCross system.
 ///
@@ -65,11 +64,6 @@ impl ReCross {
         &self.cfg
     }
 
-    /// The placement (for inspection / experiments).
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
     /// The table profiles.
     pub fn profiles(&self) -> &[TableProfile] {
         &self.profiles
@@ -106,16 +100,10 @@ impl ReCross {
 
     fn plans(&self, trace: &Trace) -> Vec<LookupPlan> {
         let burst_bytes = self.cfg.dram.topology.burst_bytes;
-        let mut replicas = self.cfg.hot_replication.map(|(per_table, copies)| {
-            HotReplicas::build(&self.profiles, &self.placement, per_table, copies)
-        });
         plan_lookups(trace, |table, row| {
             let rank = self.profiles[table].order.rank_of(row);
             let region = self.placement.region_of_rank(table, rank);
-            let addr = replicas
-                .as_mut()
-                .and_then(|r| r.redirect(&self.placement, table, rank))
-                .unwrap_or_else(|| self.placement.addr_of_rank(table, rank));
+            let addr = self.placement.addr_of_rank(table, rank);
             let (dest, salp) = match region {
                 Region::R => (BusScope::Rank, false),
                 Region::G => (BusScope::BankGroup, false),
@@ -216,7 +204,7 @@ fn place(
         .unwrap_or(256);
     let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
     let decision = if cfg.bwp {
-        bandwidth_aware_partition(profiles, &map, &bw, batch, cfg.pwl_segments)?
+        bandwidth_aware_partition(profiles, &map, &bw, batch, PWL_SEGMENTS)?
     } else {
         naive_partition(profiles, &map)
     };
@@ -252,7 +240,6 @@ impl EmbeddingAccelerator for ReCross {
             SchedulePolicy::FrFcfs
         };
         engine.two_stage_inst = self.cfg.two_stage_inst;
-        engine.reduction = self.cfg.reduction;
         let system = self.clone();
         Prepared {
             engine,
@@ -401,37 +388,6 @@ mod tests {
             with.cycles,
             without.cycles
         );
-    }
-
-    #[test]
-    fn hot_replication_runs_and_matches_golden() {
-        let g = TraceGenerator::criteo_scaled(64, 100)
-            .batch_size(8)
-            .pooling(40);
-        let trace = g.generate(17);
-        let profiles = analytic_profiles(&g);
-        let mut plain = ReCross::new(ReCrossConfig::default(), profiles.clone(), 8.0).unwrap();
-        let mut replicated = ReCross::new(
-            ReCrossConfig::default().with_hot_replication(8, 8),
-            profiles,
-            8.0,
-        )
-        .unwrap();
-        let rp = plain.run(&trace);
-        let rr = replicated.run(&trace);
-        assert_eq!(rp.lookups, rr.lookups);
-        // Replication spreads the residual hot spot: weighted imbalance
-        // must not worsen.
-        assert!(
-            rr.imbalance.mean <= rp.imbalance.mean * 1.05,
-            "replicated {} vs plain {}",
-            rr.imbalance.mean,
-            rp.imbalance.mean
-        );
-        // Replicas hold identical data: functional results unchanged.
-        let got = replicated.compute_results(&trace);
-        let want = recross_workload::model::reduce_trace(&trace);
-        recross_workload::model::assert_results_close(&got, &want, 1e-3);
     }
 
     #[test]

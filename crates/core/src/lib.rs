@@ -18,8 +18,7 @@
 //!   (§4.3), solved by `recross-lp`;
 //! * [`placement`] — popularity-rank → physical-address mapping tables;
 //! * [`engine`] — the cross-level execution engine with the rank
-//!   summarizer and locality-aware scheduling;
-//! * [`dynamic`] — online insertion and access-drift re-scheduling (§4.5).
+//!   summarizer and locality-aware scheduling.
 //!
 //! # Examples
 //!
@@ -42,14 +41,12 @@
 //! ```
 
 pub mod config;
-pub mod dynamic;
 pub mod engine;
 pub mod isa;
 pub mod partition;
 pub mod placement;
 pub mod profile;
 pub mod regions;
-pub mod replication;
 
 pub use config::{ReCrossConfig, Region};
 pub use engine::ReCross;
@@ -60,4 +57,3 @@ pub use partition::{
 pub use placement::Placement;
 pub use profile::{analytic_profiles, empirical_profiles, HotOrder, TableProfile};
 pub use regions::RegionMap;
-pub use replication::HotReplicas;

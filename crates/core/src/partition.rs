@@ -21,6 +21,10 @@ use crate::config::Region;
 use crate::profile::TableProfile;
 use crate::regions::RegionMap;
 
+/// Piecewise-linear segments per table CDF in the BWP LP ReCross solves
+/// (§4.3).
+pub const PWL_SEGMENTS: usize = 16;
+
 /// Per-region bandwidth weights used by the latency estimate, in
 /// bytes/cycle of aggregate internal bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq)]

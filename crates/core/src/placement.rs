@@ -29,9 +29,6 @@ pub struct Placement {
     /// Per table: hot-rank order handle index (profiles are kept by the
     /// caller; we store what we need).
     total_rows: u64,
-    /// First free slot per region (after all table allocations) — used by
-    /// the hot-entry replication extension.
-    free_slot: [u64; 3],
 }
 
 impl Placement {
@@ -75,7 +72,6 @@ impl Placement {
             bases,
             vector_bytes,
             total_rows,
-            free_slot: cursor,
         }
     }
 
@@ -104,23 +100,6 @@ impl Placement {
         let slot = self.bases[table][region.index()] + split.region_offset(rank);
         let max_vec = self.vector_bytes.iter().copied().max().unwrap_or(64);
         self.map.slot_addr(region, slot, max_vec)
-    }
-
-    /// First slot of a region not used by any table (replica area base).
-    pub fn free_slot(&self, region: Region) -> u64 {
-        self.free_slot[region.index()]
-    }
-
-    /// Address of a slot in a region's *free* (post-table) area — used for
-    /// hot-entry replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot exceeds the region's capacity.
-    pub fn spare_addr(&self, region: Region, offset: u64) -> recross_dram::PhysAddr {
-        let max_vec = self.vector_bytes.iter().copied().max().unwrap_or(64);
-        self.map
-            .slot_addr(region, self.free_slot[region.index()] + offset, max_vec)
     }
 
     /// Bursts needed for one vector of `table`.

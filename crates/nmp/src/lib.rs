@@ -13,12 +13,13 @@
 //!   streams, the 82-bit NMP-instruction channel (§4.2), PE/result-return
 //!   accounting;
 //! * [`layout`] — contiguous table layout (row index = memory offset);
-//! * [`cpu`] — the 16-core CPU baseline with a 32 MiB LLC;
+//! * [`cpu`] — the 16-core CPU baseline (its LLC does not filter
+//!   embedding data);
 //! * [`tensordimm`] — rank-level NMP, vertical (dimension-sliced) tables;
 //! * [`recnmp`] — rank-level NMP, horizontal tables + 1 MiB PE caches;
 //! * [`trim`] — TRiM-G / TRiM-B with 0.05 % hot-entry replication;
 //! * [`profile`] — training-phase access profiling;
-//! * [`cache`] — the LRU used by RecNMP/CPU caches;
+//! * [`cache`] — the LRU behind RecNMP's caches and the session memo;
 //! * [`cost`] — the Table 3 area model.
 //!
 //! The ReCross architecture itself lives in the `recross` crate and builds

@@ -35,7 +35,6 @@
 pub mod distribution;
 pub mod io;
 pub mod model;
-pub mod reduction;
 pub mod rng;
 pub mod stats;
 pub mod table;
@@ -43,6 +42,5 @@ pub mod trace;
 pub mod zipf;
 
 pub use distribution::AccessDistribution;
-pub use reduction::Reduction;
 pub use table::EmbeddingTableSpec;
 pub use trace::{Batch, EmbeddingOp, Trace, TraceGenerator};
