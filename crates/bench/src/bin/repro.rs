@@ -402,6 +402,8 @@ fn serve(scale: Scale, args: &[String]) {
     };
     let seed = cli::parse_seed(args).unwrap_or_else(|e| fail(e));
     let slo_p99_us = cli::parse_slo_p99(args).unwrap_or_else(|e| fail(e));
+    let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
+    let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let out = cli::value_of(args, "--out");
 
     let slo = args.iter().any(|a| a == "--slo-search");
@@ -409,7 +411,6 @@ fn serve(scale: Scale, args: &[String]) {
         || cli::value_of(args, "--agg-out").is_some()
         || cli::parse_obs_summary(args) != cli::ObsSummary::Off;
     let json = if traced && !slo {
-        let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
         serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, load, args)
     } else {
         let (json, rates) = match (&tenants, slo) {
@@ -422,7 +423,6 @@ fn serve(scale: Scale, args: &[String]) {
             // Re-serve the found max-QPS point traced. `rates` carries
             // `(arch, max_qps, bracket_hi_qps)` per searched architecture;
             // the capacity estimate is the bracket's `hi / 2`.
-            let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
             let (_, max_qps, bracket_hi) = rates
                 .iter()
                 .find(|(a, _, _)| a == arch)
