@@ -52,7 +52,9 @@ pub use addr::PhysAddr;
 pub use attribution::{CommandAttribution, PeBusy};
 pub use command::{Command, CommandKind, DataScope, IssuedCommand};
 pub use config::{Cycle, DramConfig, EnergyParams, TimingParams, Topology};
-pub use controller::{BusScope, Completion, Controller, ReadRequest, RunStats, SchedulePolicy};
+pub use controller::{
+    BusScope, Completion, Controller, ReadRequest, RunStats, SchedulePolicy, SchedulerWork,
+};
 pub use energy::{EnergyBreakdown, EnergyCounters};
 pub use timing::{TimingError, TimingState};
 pub use traceviz::{dram_tracks, record_commands, DramTracks};

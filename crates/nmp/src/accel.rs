@@ -1,6 +1,6 @@
 //! The accelerator interface and run reports.
 
-use recross_dram::{Cycle, EnergyBreakdown, EnergyCounters};
+use recross_dram::{Cycle, EnergyBreakdown, EnergyCounters, SchedulerWork};
 use recross_workload::model::reduce_trace;
 use recross_workload::stats::ImbalanceSummary;
 use recross_workload::{EmbeddingTableSpec, Trace};
@@ -90,6 +90,9 @@ pub struct RunReport {
     /// set (the observability path feeding obs tracks and
     /// `recross_dram::CommandAttribution`).
     pub commands: Option<Vec<recross_dram::IssuedCommand>>,
+    /// The DRAM scheduler's host work for this run (no report serializes
+    /// it).
+    pub work: SchedulerWork,
 }
 
 impl RunReport {

@@ -329,6 +329,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
         op_latency: crate::accel::LatencySummary::from_latencies(&op_latencies),
         batch_latency: crate::accel::LatencySummary::from_latencies(&batch_latencies),
         commands: ctl.trace(),
+        work: stats.work,
     }
 }
 

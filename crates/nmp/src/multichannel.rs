@@ -149,6 +149,7 @@ where
         combined.ops += r.ops;
         combined.cache_hits += r.cache_hits;
         combined.counters.merge(&r.counters);
+        combined.work += r.work;
         combined.energy.act_pj += r.energy.act_pj;
         combined.energy.rd_wr_pj += r.energy.rd_wr_pj;
         combined.energy.io_pj += r.energy.io_pj;
