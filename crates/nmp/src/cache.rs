@@ -1,9 +1,10 @@
 //! A small fixed-capacity LRU cache.
 //!
 //! Used for the RecNMP per-rank hot-entry caches (1 MiB per rank PE, paper
-//! §5.1) and the CPU baseline's last-level cache. Implemented with a
+//! §5.1) and as the serving memo's recency list. Implemented with a
 //! HashMap + intrusive doubly-linked list over a slab, so every operation
-//! is O(1) and deterministic.
+//! is O(1) and deterministic. Storage grows with the keys held, up to the
+//! capacity.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -40,8 +41,10 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
-            map: HashMap::with_capacity(capacity),
-            nodes: Vec::with_capacity(capacity),
+            // Grown on demand: a large bound (the serving memo's is 65,536)
+            // must not cost its full table in every cache up front.
+            map: HashMap::new(),
+            nodes: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -210,6 +213,17 @@ mod tests {
         assert!(!c.touch("b"));
         assert!(c.touch("b"));
         assert!(!c.touch("a"));
+    }
+
+    #[test]
+    fn storage_grows_with_the_keys_not_the_bound() {
+        let mut c = LruCache::new(1 << 16);
+        assert_eq!((c.map.capacity(), c.nodes.capacity()), (0, 0));
+        for key in 0..10u64 {
+            c.touch(key);
+        }
+        assert!(c.map.capacity() < 64 && c.nodes.capacity() < 64);
+        assert_eq!(c.capacity(), 1 << 16);
     }
 
     #[test]

@@ -107,10 +107,11 @@ pub trait ServiceSession {
 
     /// Prices the batch exactly like [`service`](Self::service) — same
     /// returned cycles, same memo-cache accounting — and additionally
-    /// returns the batch's full DRAM command trace from an uncached
-    /// traced re-run. The traced run never touches the memo, so a traced
-    /// serving simulation reports byte-identical `ServeReport`s to an
-    /// untraced one on the same seed.
+    /// returns the batch's full DRAM command trace. A memo miss simulates
+    /// once, traced, and memoizes those cycles; a hit takes the commands
+    /// from an uncached traced re-run. Tracing never changes the cycles,
+    /// so a traced serving simulation reports byte-identical
+    /// `ServeReport`s to an untraced one on the same seed.
     fn service_traced(&mut self, batch: &Batch) -> (Cycle, Vec<IssuedCommand>);
 
     /// Cumulative memo-cache hit/miss/eviction counters for this session.
@@ -223,6 +224,52 @@ impl MemoizedSession {
         self.lru.capacity()
     }
 
+    /// Prices `batch` through the memo, with its command trace when
+    /// `traced`. A miss simulates once (traced if asked) and memoizes the
+    /// cycles; a traced hit returns the memoized cycles with the commands
+    /// of an uncached traced re-run. Tracing never changes the cycles, so
+    /// it never changes the hit/miss/eviction accounting either.
+    fn price(&mut self, batch: &Batch, traced: bool) -> (Cycle, Option<Vec<IssuedCommand>>) {
+        if !self.enabled {
+            self.stats.misses += 1;
+            let run = self.simulate(batch, traced);
+            return (run.cycles, run.commands);
+        }
+        let sig = batch_signature(batch);
+        if let Some(&cycles) = self.cache.get(&sig) {
+            self.stats.hits += 1;
+            self.lru.touch(sig);
+            if traced {
+                // The uncached path is deterministic, so the re-run prices
+                // identically.
+                let run = self.simulate(batch, true);
+                debug_assert_eq!(
+                    run.cycles, cycles,
+                    "traced re-run must price identically to the memoized path"
+                );
+                return (cycles, run.commands);
+            }
+            #[cfg(debug_assertions)]
+            if self.stats.hits.is_multiple_of(MEMO_AUDIT_EVERY) {
+                debug_assert_eq!(
+                    self.simulate(batch, false).cycles,
+                    cycles,
+                    "memo hit must price as an uncached re-simulation"
+                );
+            }
+            return (cycles, None);
+        }
+        let run = self.simulate(batch, traced);
+        let (_, evicted) = self.lru.touch_evict(sig.clone());
+        if let Some(victim) = evicted {
+            self.cache.remove(&victim);
+            self.stats.evictions += 1;
+        }
+        self.cache.insert(sig, run.cycles);
+        self.stats.misses += 1;
+        (run.cycles, run.commands)
+    }
+
     /// Prices `batch` by simulation, outside the memo, recording its
     /// command trace when `traced`.
     fn simulate(&mut self, batch: &Batch, traced: bool) -> RunReport {
@@ -240,47 +287,12 @@ impl ServiceSession for MemoizedSession {
     }
 
     fn service(&mut self, batch: &Batch) -> Cycle {
-        if !self.enabled {
-            self.stats.misses += 1;
-            return self.simulate(batch, false).cycles;
-        }
-        let sig = batch_signature(batch);
-        if let Some(&cycles) = self.cache.get(&sig) {
-            self.stats.hits += 1;
-            self.lru.touch(sig);
-            #[cfg(debug_assertions)]
-            if self.stats.hits.is_multiple_of(MEMO_AUDIT_EVERY) {
-                debug_assert_eq!(
-                    self.simulate(batch, false).cycles,
-                    cycles,
-                    "memo hit must price as an uncached re-simulation"
-                );
-            }
-            return cycles;
-        }
-        let cycles = self.simulate(batch, false).cycles;
-        let (_, evicted) = self.lru.touch_evict(sig.clone());
-        if let Some(victim) = evicted {
-            self.cache.remove(&victim);
-            self.stats.evictions += 1;
-        }
-        self.cache.insert(sig, cycles);
-        self.stats.misses += 1;
-        cycles
+        self.price(batch, false).0
     }
 
     fn service_traced(&mut self, batch: &Batch) -> (Cycle, Vec<IssuedCommand>) {
-        // Normal pricing first, so hit/miss/eviction accounting is
-        // bit-identical to an untraced run...
-        let cycles = self.service(batch);
-        // ...then a traced re-run outside the memo for the commands. The
-        // uncached path is deterministic, so the re-run prices identically.
-        let traced = self.simulate(batch, true);
-        debug_assert_eq!(
-            traced.cycles, cycles,
-            "traced re-run must price identically to the memoized path"
-        );
-        (cycles, traced.commands.unwrap_or_default())
+        let (cycles, commands) = self.price(batch, true);
+        (cycles, commands.unwrap_or_default())
     }
 
     fn stats(&self) -> SessionStats {
