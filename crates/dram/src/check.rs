@@ -186,7 +186,7 @@ mod tests {
         let c = cfg();
         for (policy, scope, salp) in [
             (SchedulePolicy::FrFcfs, BusScope::Channel, false),
-            (SchedulePolicy::Fcfs, BusScope::Rank, false),
+            (SchedulePolicy::FrFcfs, BusScope::Rank, false),
             (SchedulePolicy::FrFcfs, BusScope::BankGroup, false),
             (SchedulePolicy::LocalityAware, BusScope::Bank, true),
         ] {

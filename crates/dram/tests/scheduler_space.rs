@@ -1,14 +1,14 @@
 //! A seeded sweep over the controller's scheduling space, pinned by hash.
 //!
-//! Every combination of policy (FCFS, FR-FCFS, locality-aware), SALP on and
-//! off, per-bank window 1 and 16, and the 64-entry global window on and off
-//! runs a random request mix with writes, auto-precharge, every bus scope,
-//! staggered `ready_at` and a short tREFI, so refreshes interleave with
-//! everything else. Requests arrive in several rounds against one
-//! controller, as the engine enqueues op groups. Every emitted trace must
-//! pass the independent checker, and one FNV-1a hash over every trace and
-//! completion list must equal the pin: a scheduler change that moves one
-//! command, or one completion, fails here.
+//! Every combination of policy (FR-FCFS, locality-aware), SALP on and off,
+//! and the 64-entry global window on and off runs a random request mix
+//! with writes, auto-precharge, every bus scope, staggered `ready_at` and a
+//! short tREFI, so refreshes interleave with everything else. Requests
+//! arrive in several rounds against one controller, as the engine enqueues
+//! op groups. Every emitted trace must pass the independent checker, and
+//! one FNV-1a hash over every trace and completion list must equal the pin:
+//! a scheduler change that moves one command, or one completion, fails
+//! here.
 
 use recross_dram::check::check_trace;
 use recross_dram::{
@@ -17,7 +17,7 @@ use recross_dram::{
 };
 
 /// Hash of every configuration's trace and completions, in sweep order.
-const SPACE_PIN: u64 = 0x397d_5e6f_bb15_a834;
+const SPACE_PIN: u64 = 0x6f3e_67f9_74fd_0182;
 
 /// splitmix64: a tiny deterministic generator (the crate has no RNG).
 struct Rng(u64);
@@ -47,14 +47,13 @@ fn fnv(hash: u64, bytes: &[u8]) -> u64 {
 fn run_case(
     policy: SchedulePolicy,
     salp: bool,
-    bank_window: usize,
     global_window: bool,
     seed: u64,
 ) -> (Vec<IssuedCommand>, Vec<Completion>) {
     let mut cfg = DramConfig::ddr5_4800();
     cfg.timing.t_refi = 1_500;
     let topo = cfg.topology;
-    let mut ctl = Controller::new(cfg, policy).with_bank_window(bank_window);
+    let mut ctl = Controller::new(cfg, policy);
     if global_window {
         ctl = ctl.with_global_window(64);
     }
@@ -111,38 +110,36 @@ fn seeded_scheduling_space_is_valid_and_pinned() {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut cases = 0;
     let mut kinds = [0usize; 7];
-    for policy in [
-        SchedulePolicy::Fcfs,
-        SchedulePolicy::FrFcfs,
-        SchedulePolicy::LocalityAware,
-    ] {
-        for salp in [false, true] {
-            for bank_window in [1, 16] {
-                for global_window in [false, true] {
-                    let seed = cases * 7_919 + 11;
-                    let (trace, completions) =
-                        run_case(policy, salp, bank_window, global_window, seed);
-                    let label = format!("{policy:?} salp={salp} w={bank_window} g={global_window}");
-                    let mut timing = cfg.timing;
-                    timing.t_refi = 1_500;
-                    let violations = check_trace(cfg.topology, timing, &trace);
-                    assert!(violations.is_empty(), "{label}: {}", violations[0]);
-                    assert_eq!(completions.len(), 600, "{label}");
-                    for ic in &trace {
-                        kinds[ic.command.kind as usize] += 1;
-                        let line = format!("{ic} {:?}\n", ic.command.data_scope);
-                        hash = fnv(hash, line.as_bytes());
-                    }
-                    for c in &completions {
-                        let line = format!("{} {} {}\n", c.id, c.done_at, c.row_hit);
-                        hash = fnv(hash, line.as_bytes());
-                    }
-                    cases += 1;
+    for (p, policy) in [SchedulePolicy::FrFcfs, SchedulePolicy::LocalityAware]
+        .into_iter()
+        .enumerate()
+    {
+        for (s, salp) in [false, true].into_iter().enumerate() {
+            for (g, global_window) in [false, true].into_iter().enumerate() {
+                // Each case keeps the seed it had when the sweep also
+                // covered FCFS and a one-request bank window.
+                let seed = (8 * (p + 1) + 4 * s + 2 + g) as u64 * 7_919 + 11;
+                let (trace, completions) = run_case(policy, salp, global_window, seed);
+                let label = format!("{policy:?} salp={salp} g={global_window}");
+                let mut timing = cfg.timing;
+                timing.t_refi = 1_500;
+                let violations = check_trace(cfg.topology, timing, &trace);
+                assert!(violations.is_empty(), "{label}: {}", violations[0]);
+                assert_eq!(completions.len(), 600, "{label}");
+                for ic in &trace {
+                    kinds[ic.command.kind as usize] += 1;
+                    let line = format!("{ic} {:?}\n", ic.command.data_scope);
+                    hash = fnv(hash, line.as_bytes());
                 }
+                for c in &completions {
+                    let line = format!("{} {} {}\n", c.id, c.done_at, c.row_hit);
+                    hash = fnv(hash, line.as_bytes());
+                }
+                cases += 1;
             }
         }
     }
-    assert_eq!(cases, 24);
+    assert_eq!(cases, 8);
     assert!(
         kinds.iter().all(|&n| n > 0),
         "every command kind issued: {kinds:?}"

@@ -5,17 +5,21 @@
 //! seed and FNV-1a-hashes what it emits: the experiment JSON documents,
 //! the streamed Perfetto timelines, the online-aggregate JSON, and the
 //! simulated fields of closed-loop `RunReport`s, and the `{:?}` text of
-//! the experiment tables whose models are assembled by hand (ablations,
-//! configuration sweeps, the training write-back path). The constants were
-//! recorded once; a refactor that claims "same bytes" must leave every
-//! one of them unchanged. A mismatch prints the new digest.
+//! the experiment tables: the ones whose models are assembled by hand
+//! (ablations, configuration sweeps, the training write-back path) and the
+//! figure tables that vary vector length, batch size, rank count, channel
+//! count and DDR generation, with the Figure 6 command timelines. The
+//! constants were recorded once; a refactor that claims "same bytes" must
+//! leave every one of them unchanged. A mismatch prints the new digest.
 
 use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
 use recross_bench::experiments::{
-    fig12_ablation, fig14_configurations, instruction_transfer_ablation, run_all, training_updates,
+    channel_scaling, ddr4_sensitivity, fig10_batch_size, fig11_rank_count, fig12_ablation,
+    fig13_bwp_imbalance, fig14_configurations, fig15_energy, fig6_timeline, fig9_vector_length,
+    instruction_transfer_ablation, run_all, training_updates,
 };
 use recross_bench::runtrace::closed_loop_trace_with;
 use recross_bench::serving::{self, TraceOptions};
@@ -297,6 +301,46 @@ fn experiment_tables_match_golden() {
             "instruction_transfer_ablation",
             text(&instruction_transfer_ablation(Scale::Tiny)),
             0x1c70_5ffb_e25c_773a,
+        ),
+        (
+            "fig6_timeline",
+            text(&fig6_timeline()),
+            0xe52b_74db_24c1_dce6,
+        ),
+        (
+            "fig9_vector_length",
+            text(&fig9_vector_length(Scale::Tiny)),
+            0x7276_e300_51d7_262b,
+        ),
+        (
+            "fig10_batch_size",
+            text(&fig10_batch_size(Scale::Tiny)),
+            0x2cdb_6a8d_f857_b752,
+        ),
+        (
+            "fig11_rank_count",
+            text(&fig11_rank_count(Scale::Tiny)),
+            0xe9a1_408c_fa3a_f54d,
+        ),
+        (
+            "fig13_bwp_imbalance",
+            text(&fig13_bwp_imbalance(Scale::Tiny)),
+            0xeed8_412d_0f7c_bb88,
+        ),
+        (
+            "fig15_energy",
+            text(&fig15_energy(Scale::Tiny)),
+            0xb1e6_800d_7272_f370,
+        ),
+        (
+            "channel_scaling",
+            text(&channel_scaling(Scale::Tiny)),
+            0x77bd_0f7b_438f_34ce,
+        ),
+        (
+            "ddr4_sensitivity",
+            text(&ddr4_sensitivity(Scale::Tiny)),
+            0x0982_2226_dcbd_c8e8,
         ),
     ]);
 }

@@ -18,11 +18,7 @@ const SCOPES: [BusScope; 4] = [
     BusScope::Bank,
 ];
 
-const POLICIES: [SchedulePolicy; 3] = [
-    SchedulePolicy::Fcfs,
-    SchedulePolicy::FrFcfs,
-    SchedulePolicy::LocalityAware,
-];
+const POLICIES: [SchedulePolicy; 2] = [SchedulePolicy::FrFcfs, SchedulePolicy::LocalityAware];
 
 fn random_request(rng: &mut Xoshiro256pp) -> ReadRequest {
     let bg = rng.next_bounded(8) as u32;
@@ -62,12 +58,11 @@ fn random_requests(rng: &mut Xoshiro256pp, max: u64) -> Vec<ReadRequest> {
 fn assert_schedule_valid(
     reqs: &[ReadRequest],
     policy: SchedulePolicy,
-    window: usize,
     global: Option<usize>,
     label: &str,
 ) {
     let cfg = DramConfig::ddr5_4800();
-    let mut ctl = Controller::new(cfg.clone(), policy).with_bank_window(window);
+    let mut ctl = Controller::new(cfg.clone(), policy);
     if let Some(w) = global {
         ctl = ctl.with_global_window(w);
     }
@@ -92,22 +87,20 @@ fn any_schedule_is_timing_valid() {
     let mut rng = Xoshiro256pp::seed_from_u64(0xD3A2_0001);
     for case in 0..48 {
         let reqs = random_requests(&mut rng, 120);
-        let policy = POLICIES[rng.next_bounded(3) as usize];
-        let window = 1 + rng.next_bounded(19) as usize;
+        let policy = POLICIES[rng.next_bounded(2) as usize];
         let global = if rng.next_bool(0.5) {
             Some(1 + rng.next_bounded(31) as usize)
         } else {
             None
         };
-        assert_schedule_valid(&reqs, policy, window, global, &format!("case {case}"));
+        assert_schedule_valid(&reqs, policy, global, &format!("case {case}"));
     }
 }
 
 #[test]
 fn regression_same_address_back_to_back_salp() {
     // A past shrink: two back-to-back requests to the *same* row of one
-    // SALP bank under FCFS with a 1-deep bank window — the tightest
-    // serialization the controller supports.
+    // SALP bank.
     let addr = PhysAddr {
         channel: 0,
         rank: 0,
@@ -126,7 +119,12 @@ fn regression_same_address_back_to_back_salp() {
         auto_precharge: false,
         write: false,
     };
-    assert_schedule_valid(&[base, base], SchedulePolicy::Fcfs, 1, None, "regression");
+    assert_schedule_valid(
+        &[base, base],
+        SchedulePolicy::LocalityAware,
+        None,
+        "regression",
+    );
 }
 
 #[test]
@@ -135,7 +133,7 @@ fn mixed_salp_modes_on_one_bank_rejected() {
     // SALP is a per-bank hardware property: enqueueing the same bank with
     // salp on and off is a model-misuse contract violation.
     let cfg = DramConfig::ddr5_4800();
-    let mut ctl = Controller::new(cfg, SchedulePolicy::Fcfs);
+    let mut ctl = Controller::new(cfg, SchedulePolicy::FrFcfs);
     let base = ReadRequest {
         id: 0,
         addr: PhysAddr {
