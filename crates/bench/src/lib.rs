@@ -5,13 +5,10 @@
 //! ([`workloads`]), the serving-mode sweeps ([`serving`]), and the `repro`
 //! binary that prints every row the paper reports (its flag parsing lives
 //! in [`cli`]). Closed-loop trace capture for `repro run` lives in
-//! [`runtrace`]. The benches in `benches/`
-//! time the same runners on the quick scale via the dependency-free [`timer`]
-//! harness.
+//! [`runtrace`].
 
 pub mod cli;
 pub mod experiments;
 pub mod runtrace;
 pub mod serving;
-pub mod timer;
 pub mod workloads;

@@ -55,11 +55,6 @@ impl Topology {
         self.bank_bytes() * u64::from(self.banks_per_rank())
     }
 
-    /// Channel capacity in bytes.
-    pub fn channel_bytes(&self) -> u64 {
-        self.rank_bytes() * u64::from(self.ranks)
-    }
-
     /// Read bursts needed for `bytes` contiguous bytes.
     pub fn bursts_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(u64::from(self.burst_bytes))

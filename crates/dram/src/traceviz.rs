@@ -6,12 +6,8 @@
 //! [`IssuedCommand`] trace onto those tracks — one span per command with
 //! its occupancy duration, one `burst` span per read on the PE/DQ track of
 //! the region its data lands in ([`DataScope`]). Any consumer can then
-//! export the recorder with `recross_obs::write_chrome_trace`; the
-//! standalone [`write_chrome_trace`] here keeps the original
-//! single-channel convenience API (`chrome://tracing` /
-//! [Perfetto](https://ui.perfetto.dev)).
-
-use std::io::Write;
+//! export the recorder with `recross_obs::write_chrome_trace`
+//! (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
 
 use recross_obs::{Recorder, TrackId};
 
@@ -129,32 +125,22 @@ pub fn record_commands(
     }
 }
 
-/// Writes `trace` as Chrome tracing JSON to `w`: builds a one-channel obs
-/// track forest ([`dram_tracks`] under a `DRAM channel` root), records the
-/// commands, and exports through the unified obs exporter. Timestamps are
-/// microseconds scaled by the configured clock.
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-pub fn write_chrome_trace<W: Write>(
-    trace: &[IssuedCommand],
-    cfg: &DramConfig,
-    w: W,
-) -> std::io::Result<()> {
-    let mut rec = Recorder::new();
-    let root = rec.track("DRAM channel", None);
-    let mut tracks = dram_tracks(&mut rec, root, cfg);
-    record_commands(&mut rec, &mut tracks, cfg, trace, 0);
-    debug_assert_eq!(rec.validate(), Ok(()));
-    recross_obs::write_chrome_trace(&rec, cfg.cycles_to_ns(1), w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::PhysAddr;
     use crate::controller::{Controller, ReadRequest, SchedulePolicy};
+
+    /// The Chrome-trace JSON of `trace` on one channel's tracks under a
+    /// `DRAM channel` root.
+    fn chrome_json(trace: &[IssuedCommand], cfg: &DramConfig) -> String {
+        let mut rec = Recorder::new();
+        let root = rec.track("DRAM channel", None);
+        let mut tracks = dram_tracks(&mut rec, root, cfg);
+        record_commands(&mut rec, &mut tracks, cfg, trace, 0);
+        assert_eq!(rec.validate(), Ok(()));
+        recross_obs::chrome_trace_string(&rec, cfg.cycles_to_ns(1))
+    }
 
     #[test]
     fn emits_valid_json_shape() {
@@ -181,9 +167,7 @@ mod tests {
             .iter()
             .filter(|ic| ic.command.kind == CommandKind::Rd)
             .count();
-        let mut buf = Vec::new();
-        write_chrome_trace(&trace, &cfg, &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
+        let s = chrome_json(&trace, &cfg);
         assert!(s.starts_with("[\n"));
         assert!(s.trim_end().ends_with(']'));
         // One slice per command plus one burst span per read (the PE/DQ
@@ -203,9 +187,7 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         let cfg = DramConfig::ddr5_4800();
-        let mut buf = Vec::new();
-        write_chrome_trace(&[], &cfg, &mut buf).unwrap();
-        let s = String::from_utf8(buf).unwrap();
+        let s = chrome_json(&[], &cfg);
         assert!(s.contains("thread_name"));
     }
 

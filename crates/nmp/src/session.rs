@@ -219,11 +219,6 @@ impl MemoizedSession {
         self.cache.len()
     }
 
-    /// Current bound on memoized signatures.
-    pub fn cache_capacity(&self) -> usize {
-        self.lru.capacity()
-    }
-
     /// Prices `batch` through the memo, with its command trace when
     /// `traced`. A miss simulates once (traced if asked) and memoizes the
     /// cycles; a traced hit returns the memoized cycles with the commands

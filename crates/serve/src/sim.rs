@@ -544,7 +544,7 @@ impl ServeReport {
         outcomes: &[ChannelOutcome],
     ) -> ServeReport {
         let n = requests.len();
-        let mut hist = crate::hist::LatencyHistogram::new();
+        let mut hist = crate::LatencyHistogram::new();
         let mut tenants: Vec<TenantReport> = mix
             .map(|m| {
                 m.classes().iter().map(TenantReport::new).collect()

@@ -15,8 +15,8 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-use recross_repro::dram::traceviz::write_chrome_trace;
-use recross_repro::dram::DramConfig;
+use recross_obs::{write_chrome_trace, Recorder};
+use recross_repro::dram::{dram_tracks, record_commands, DramConfig};
 use recross_repro::nmp::accel::EmbeddingAccelerator;
 use recross_repro::nmp::{execute, Prepared, Trim};
 use recross_repro::workload::io::{read_trace, write_trace};
@@ -71,10 +71,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "TRiM-G on imported trace: {} cycles, row-hit rate {:.2}",
         report.cycles, report.row_hit_rate
     );
+    let mut rec = Recorder::new();
+    let root = rec.track("DRAM channel", None);
+    let mut tracks = dram_tracks(&mut rec, root, &cfg);
+    let commands = report.commands.expect("commands recorded");
+    record_commands(&mut rec, &mut tracks, &cfg, &commands, 0);
     let json = dir.join("commands.json");
     write_chrome_trace(
-        &report.commands.expect("commands recorded"),
-        &cfg,
+        &rec,
+        cfg.cycles_to_ns(1),
         BufWriter::new(File::create(&json)?),
     )?;
     println!(
