@@ -527,7 +527,15 @@ fn serve_trace_point(
         buffered: false,
     };
     let p = serving::traced_point_with(
-        scale, arch, mix, load, bursty, policy, seed, dram_tracks, opts,
+        scale,
+        arch,
+        mix,
+        load,
+        bursty,
+        policy,
+        seed,
+        dram_tracks,
+        opts,
     )
     .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
     println!(
@@ -559,7 +567,10 @@ fn serve_trace_point(
             c.deadline_shed
         );
         if let Some(a) = &c.attribution {
-            println!("    {}", recross_dram::attribution::summarize(&format!("ch{ch}"), a));
+            println!(
+                "    {}",
+                recross_dram::attribution::summarize(&format!("ch{ch}"), a)
+            );
         }
     }
     println!("{}", recorder_stats_line(p.obs.heap_capacity, &p.obs.sinks));
@@ -690,7 +701,10 @@ fn serve_slo_search(
         .iter()
         .map(|r| (r.arch.clone(), r.max_qps, r.bracket_hi_qps))
         .collect();
-    (serving::slo_to_json(&reports, scale, bursty, policy, seed), rates)
+    (
+        serving::slo_to_json(&reports, scale, bursty, policy, seed),
+        rates,
+    )
 }
 
 fn serve_tenant_sweep(
@@ -769,7 +783,10 @@ fn serve_tenant_slo(
         .iter()
         .map(|r| (r.arch.clone(), r.max_qps, r.bracket_hi_qps))
         .collect();
-    (serving::tenant_slo_to_json(&reports, scale, mix, policy, seed), rates)
+    (
+        serving::tenant_slo_to_json(&reports, scale, mix, policy, seed),
+        rates,
+    )
 }
 
 fn overheads(scale: Scale) {

@@ -195,9 +195,7 @@ fn parse_deadline_us(s: &str) -> Result<f64, String> {
     } else if let Some(n) = s.strip_suffix('s') {
         (n, 1e6)
     } else {
-        return Err(format!(
-            "deadline needs a unit suffix (us|ms|s), got {s:?}"
-        ));
+        return Err(format!("deadline needs a unit suffix (us|ms|s), got {s:?}"));
     };
     match number.parse::<f64>() {
         Ok(v) if v.is_finite() && v > 0.0 => Ok(v * factor),
@@ -227,12 +225,17 @@ fn parse_tenant_class(spec: &str) -> Result<TenantClass, String> {
     let process = TenantProcess::parse(process).ok_or_else(|| {
         format!("tenant process must be poisson|bursty|mmpp, got {process:?} in {spec:?}")
     })?;
-    let deadline_us =
-        parse_deadline_us(deadline).map_err(|e| format!("{e} in {spec:?}"))?;
+    let deadline_us = parse_deadline_us(deadline).map_err(|e| format!("{e} in {spec:?}"))?;
     let priority = Priority::parse(priority).ok_or_else(|| {
         format!("tenant priority must be high|normal|low, got {priority:?} in {spec:?}")
     })?;
-    Ok(TenantClass::new(*name, share, process, deadline_us, priority))
+    Ok(TenantClass::new(
+        *name,
+        share,
+        process,
+        deadline_us,
+        priority,
+    ))
 }
 
 /// Parses `--tenants=SPEC` into a [`TenantMix`]; `Ok(None)` when the flag
@@ -366,7 +369,11 @@ mod tests {
         assert_eq!(classes[0].deadline_us, 200.0);
         assert_eq!(classes[0].priority, Priority::High);
         assert_eq!(classes[1].name, "batch");
-        assert_eq!(classes[1].process, TenantProcess::Bursty, "mmpp aliases bursty");
+        assert_eq!(
+            classes[1].process,
+            TenantProcess::Bursty,
+            "mmpp aliases bursty"
+        );
         assert_eq!(classes[1].deadline_us, 5_000.0);
         assert_eq!(classes[1].priority, Priority::Low);
     }
@@ -378,16 +385,20 @@ mod tests {
                 .unwrap()
                 .unwrap()
         };
-        assert_eq!(mix("a:1:poisson:250us:normal").classes()[0].deadline_us, 250.0);
-        assert_eq!(mix("a:1:poisson:2.5ms:normal").classes()[0].deadline_us, 2_500.0);
+        assert_eq!(
+            mix("a:1:poisson:250us:normal").classes()[0].deadline_us,
+            250.0
+        );
+        assert_eq!(
+            mix("a:1:poisson:2.5ms:normal").classes()[0].deadline_us,
+            2_500.0
+        );
         assert_eq!(mix("a:1:poisson:1s:normal").classes()[0].deadline_us, 1e6);
     }
 
     #[test]
     fn tenants_reject_malformed_specs() {
-        let err = |spec: &str| {
-            parse_tenants(&args(&[&format!("--tenants={spec}")])).unwrap_err()
-        };
+        let err = |spec: &str| parse_tenants(&args(&[&format!("--tenants={spec}")])).unwrap_err();
         assert!(err("").contains("at least one tenant class"));
         assert!(err("rt:0.7:poisson:200us").contains("name:share:process:deadline:priority"));
         assert!(err("rt:zero:poisson:200us:high").contains("share must be a positive number"));
@@ -396,8 +407,9 @@ mod tests {
         assert!(err("rt:0.7:poisson:200:high").contains("unit suffix"));
         assert!(err("rt:0.7:poisson:-5us:high").contains("positive number"));
         assert!(err("rt:0.7:poisson:200us:urgent").contains("high|normal|low"));
-        assert!(err("rt:1:poisson:200us:high,rt:1:poisson:300us:low")
-            .contains("duplicate tenant name"));
+        assert!(
+            err("rt:1:poisson:200us:high,rt:1:poisson:300us:low").contains("duplicate tenant name")
+        );
     }
 
     #[test]
@@ -427,7 +439,10 @@ mod tests {
     fn check_flags_rejects_unknown_flags() {
         let err = check_flags(&args(&["--quick", "table2", "--bogus=1"])).unwrap_err();
         assert_eq!(err, "unknown flag --bogus");
-        assert_eq!(check_flags(&args(&["--quik"])).unwrap_err(), "unknown flag --quik");
+        assert_eq!(
+            check_flags(&args(&["--quik"])).unwrap_err(),
+            "unknown flag --quik"
+        );
     }
 
     #[test]
@@ -447,7 +462,10 @@ mod tests {
     #[test]
     fn check_flags_names_the_replacement_of_removed_flags() {
         let err = check_flags(&args(&["serve", "--trace-stream=x.json"])).unwrap_err();
-        assert_eq!(err, "--trace-stream was removed; use --trace-out=FILE, which now streams");
+        assert_eq!(
+            err,
+            "--trace-stream was removed; use --trace-out=FILE, which now streams"
+        );
         let err = check_flags(&args(&["run", "--dram-trace=x.json"])).unwrap_err();
         assert!(err.starts_with("--dram-trace was removed; use --trace-out=FILE"));
         assert!(check_flags(&args(&["run", "--trace-stream"])).is_err());

@@ -345,11 +345,7 @@ mod tests {
         ctl.enqueue(host_read(1, 10, 0));
         ctl.enqueue(host_read(2, 10, 64));
         ctl.run();
-        let a = CommandAttribution::from_commands(
-            &ctl.trace().unwrap(),
-            &cfg,
-            ctl.stats().finish,
-        );
+        let a = CommandAttribution::from_commands(&ctl.trace().unwrap(), &cfg, ctl.stats().finish);
         assert_eq!(a.activates, 1);
         assert_eq!(a.bank_conflicts, 0);
     }

@@ -47,7 +47,10 @@ pub fn dram_tracks(rec: &mut Recorder, parent: TrackId, cfg: &DramConfig) -> Dra
     for rank in 0..topo.ranks {
         for bg in 0..topo.bank_groups {
             for bank in 0..topo.banks_per_group {
-                banks.push(rec.track(&format!("rank {rank} / bg {bg} / bank {bank}"), Some(parent)));
+                banks.push(rec.track(
+                    &format!("rank {rank} / bg {bg} / bank {bank}"),
+                    Some(parent),
+                ));
             }
         }
     }

@@ -82,7 +82,10 @@ fn optimum_is_feasible_and_unbeaten_by_grid() {
             "case {case}: optimum must be feasible: {lp:?}"
         );
         let obj = |x: &[f64]| lp.c.iter().zip(x).map(|(c, v)| c * v).sum::<f64>();
-        assert!((obj(&sol.values) - sol.objective).abs() < 1e-6, "case {case}");
+        assert!(
+            (obj(&sol.values) - sol.objective).abs() < 1e-6,
+            "case {case}"
+        );
         // Grid sample of the box; no feasible point may beat the optimum.
         let n = lp.c.len();
         let steps = 6usize;

@@ -462,7 +462,10 @@ mod tests {
         let plain = execute(&cfg, &trace, &plans);
         cfg.trace_commands = true;
         let traced = execute(&cfg, &trace, &plans);
-        assert_eq!(traced.cycles, plain.cycles, "tracing must not perturb timing");
+        assert_eq!(
+            traced.cycles, plain.cycles,
+            "tracing must not perturb timing"
+        );
         assert!(plain.commands.is_none(), "untraced runs carry no commands");
         let commands = traced.commands.expect("traced run records commands");
         assert!(!commands.is_empty());

@@ -57,7 +57,6 @@ pub mod tensordimm;
 pub mod trim;
 
 pub use accel::{EmbeddingAccelerator, LatencySummary, RunReport};
-pub use session::{MemoizedSession, ServiceSession, SessionStats, DEFAULT_MEMO_CAPACITY};
 pub use cost::{AreaModel, AreaParams, AreaReport};
 pub use cpu::CpuBaseline;
 pub use engine::{
@@ -67,5 +66,6 @@ pub use fafnir::Fafnir;
 pub use multichannel::{run_multichannel, ChannelPlan};
 pub use profile::AccessProfile;
 pub use recnmp::RecNmp;
+pub use session::{MemoizedSession, ServiceSession, SessionStats, DEFAULT_MEMO_CAPACITY};
 pub use tensordimm::TensorDimm;
 pub use trim::{Trim, TrimLevel};

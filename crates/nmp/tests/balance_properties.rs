@@ -23,7 +23,9 @@ fn random_generator(rng: &mut Xoshiro256pp) -> TraceGenerator {
         .map(|t| AccessDistribution::zipf(t.rows, 0.2 + rng.next_f64()))
         .collect();
     // Skew which tables the trace touches at all.
-    let probs: Vec<f64> = (0..n_tables).map(|_| 0.05 + 0.95 * rng.next_f64()).collect();
+    let probs: Vec<f64> = (0..n_tables)
+        .map(|_| 0.05 + 0.95 * rng.next_f64())
+        .collect();
     TraceGenerator::new(tables, dists)
         .table_probabilities(probs)
         .batch_size(1 + rng.next_bounded(6) as usize)

@@ -328,8 +328,16 @@ impl Aggregator {
             makespan_cycles: self.makespan,
             tenants,
             channels: self.channels.clone(),
-            spans: self.spans.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+            spans: self
+                .spans
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
         }
     }
 }
@@ -541,7 +549,12 @@ mod tests {
         let batch = &a.tenants[1];
         assert_eq!(batch.name, "batch");
         assert_eq!(
-            (batch.completed, batch.late, batch.queue_shed, batch.deadline_shed),
+            (
+                batch.completed,
+                batch.late,
+                batch.queue_shed,
+                batch.deadline_shed
+            ),
             (0, 0, 1, 1)
         );
         assert!(batch.time_in_queue.is_empty(), "never dispatched");

@@ -320,7 +320,10 @@ mod tests {
             h.record(v);
         }
         let json = h.summary_json();
-        assert!(json.starts_with("{\"count\":3,\"mean\":20.0,\"min\":10,"), "{json}");
+        assert!(
+            json.starts_with("{\"count\":3,\"mean\":20.0,\"min\":10,"),
+            "{json}"
+        );
         assert!(json.ends_with(",\"max\":30}"), "{json}");
         assert_eq!(json, h.clone().summary_json());
         assert_eq!(

@@ -273,7 +273,10 @@ impl Recorder {
             return TrackId(0);
         }
         if let Some(p) = parent {
-            assert!((p.0 as usize) < self.tracks.len(), "parent track must exist");
+            assert!(
+                (p.0 as usize) < self.tracks.len(),
+                "parent track must exist"
+            );
         }
         let name = self.intern(name);
         let id = TrackId(u32::try_from(self.tracks.len()).expect("track table overflow"));
@@ -295,7 +298,10 @@ impl Recorder {
     }
 
     fn push(&mut self, track: TrackId, name: StrId, ts: u64, kind: EventKind) {
-        debug_assert!((track.0 as usize) < self.tracks.len(), "event on unknown track");
+        debug_assert!(
+            (track.0 as usize) < self.tracks.len(),
+            "event on unknown track"
+        );
         let e = Event {
             track,
             name,

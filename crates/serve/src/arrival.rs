@@ -132,10 +132,8 @@ impl ArrivalProcess {
                 let off_dwell_s = on_dwell_s * (1.0 - on_fraction) / on_fraction;
                 let mut t = 0.0;
                 let mut on = rng.next_bool(on_fraction);
-                let mut dwell_end = t + exponential(
-                    &mut rng,
-                    1.0 / if on { on_dwell_s } else { off_dwell_s },
-                );
+                let mut dwell_end =
+                    t + exponential(&mut rng, 1.0 / if on { on_dwell_s } else { off_dwell_s });
                 let mut out = Vec::with_capacity(n);
                 while out.len() < n {
                     let rate = if on { rate_on } else { rate_off };
@@ -233,8 +231,7 @@ mod tests {
                 c += 1;
             }
             let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-            let var = counts.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
-                / counts.len() as f64;
+            let var = counts.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / counts.len() as f64;
             var / mean
         };
         let poisson = dispersion(ArrivalProcess::poisson(1_000.0), 3);

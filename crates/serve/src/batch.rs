@@ -182,7 +182,9 @@ impl Batcher {
             return false;
         }
         debug_assert!(
-            self.queue.last().is_none_or(|last| last.arrival <= job.arrival),
+            self.queue
+                .last()
+                .is_none_or(|last| last.arrival <= job.arrival),
             "offers must arrive in time order"
         );
         self.queue.push(job);
@@ -236,7 +238,9 @@ impl Batcher {
         let fire = if self.queue.len() >= self.cfg.max_batch {
             self.queue[self.cfg.max_batch - 1].arrival
         } else {
-            self.queue[0].arrival.saturating_add(self.effective_linger())
+            self.queue[0]
+                .arrival
+                .saturating_add(self.effective_linger())
         };
         // Causality clamp: an admission shrinks the adaptive linger, so
         // the recomputed trigger could otherwise precede the arrival of a

@@ -264,10 +264,7 @@ impl ServeObs {
                 dispatches: cr.dispatches,
                 queue_shed: cr.shed,
                 deadline_shed: cr.expired,
-                attribution: ct
-                    .attr
-                    .as_ref()
-                    .map(|b| b.snapshot(report.makespan_cycles)),
+                attribution: ct.attr.as_ref().map(|b| b.snapshot(report.makespan_cycles)),
             })
             .collect();
         let tenants = self
@@ -323,9 +320,7 @@ impl ServeObs {
             let dram = self
                 .trace_dram
                 .then(|| dram_tracks(&mut self.rec, root, &self.dram));
-            let attr = self
-                .trace_dram
-                .then(|| AttributionBuilder::new(&self.dram));
+            let attr = self.trace_dram.then(|| AttributionBuilder::new(&self.dram));
             self.channels.push(ChannelTracks {
                 server,
                 depth,
@@ -698,7 +693,13 @@ mod tests {
         // Two overlapping requests need two lanes; a third starting after
         // the first ends reuses lane 0.
         obs.request_span(0, "req#0 completed", 0, 100, &[]);
-        obs.request_span(0, "req#1 completed", 50, 150, &[(60, "dispatch ch0".into())]);
+        obs.request_span(
+            0,
+            "req#1 completed",
+            50,
+            150,
+            &[(60, "dispatch ch0".into())],
+        );
         obs.request_span(0, "req#2 completed", 120, 200, &[]);
         assert_eq!(obs.groups[0].lanes.len(), 2);
         assert_eq!(obs.lifecycle_totals().spans, 3);

@@ -219,7 +219,13 @@ impl ServeReport {
     /// The report as a JSON object string (no trailing newline).
     pub fn to_json(&self) -> String {
         let (p50, p90, p95, p99, p999) = self.latency.tail_summary();
-        let quant = |v: u64| format!("{{\"cycles\":{},\"us\":{}}}", v, fmt_f64(self.cycles_to_us(v)));
+        let quant = |v: u64| {
+            format!(
+                "{{\"cycles\":{},\"us\":{}}}",
+                v,
+                fmt_f64(self.cycles_to_us(v))
+            )
+        };
         let channels: Vec<String> = self
             .channels
             .iter()

@@ -531,7 +531,8 @@ fn depth_percentiles(samples: &[(Cycle, usize)]) -> (u64, u64, u64) {
     }
     let mut depths: Vec<u64> = samples.iter().map(|&(_, d)| d as u64).collect();
     depths.sort_unstable();
-    let pick = |q: f64| depths[((q * depths.len() as f64).ceil() as usize).clamp(1, depths.len()) - 1];
+    let pick =
+        |q: f64| depths[((q * depths.len() as f64).ceil() as usize).clamp(1, depths.len()) - 1];
     (pick(0.5), pick(0.99), *depths.last().expect("nonempty"))
 }
 
@@ -546,9 +547,7 @@ impl ServeReport {
         let n = requests.len();
         let mut hist = crate::LatencyHistogram::new();
         let mut tenants: Vec<TenantReport> = mix
-            .map(|m| {
-                m.classes().iter().map(TenantReport::new).collect()
-            })
+            .map(|m| m.classes().iter().map(TenantReport::new).collect())
             .unwrap_or_default();
         let mut shed_requests = 0u64;
         let mut makespan: Cycle = requests.last().map(|r| r.arrival).unwrap_or(0);
@@ -636,7 +635,8 @@ impl ServeReport {
             service_cache.misses += o.cache.misses;
             service_cache.evictions += o.cache.evictions;
         }
-        let arrival_span_s = requests.last().map(|r| r.arrival).unwrap_or(0) as f64 / cycles_per_sec;
+        let arrival_span_s =
+            requests.last().map(|r| r.arrival).unwrap_or(0) as f64 / cycles_per_sec;
         ServeReport {
             name: name.to_string(),
             requests: n as u64,
@@ -672,15 +672,20 @@ mod tests {
             .batch_size(1)
             .pooling(8)
             .batches(24)
-            .generate(13)
-;
+            .generate(13);
         let plan = ChannelPlan::balance_by_load(&trace, 2);
         let arrivals = crate::arrival::ArrivalProcess::poisson(40_000.0).timestamps(
             trace.batches.len(),
             dram.cycles_per_sec(),
             13,
         );
-        (trace, plan, arrivals, BatcherConfig::default(), dram.cycles_per_sec())
+        (
+            trace,
+            plan,
+            arrivals,
+            BatcherConfig::default(),
+            dram.cycles_per_sec(),
+        )
     }
 
     /// The memoized service-time cache is an exact cache: the same seed
@@ -701,10 +706,9 @@ mod tests {
 
         // Two consecutive runs per variant: the second run is where the
         // cached sessions replay memoized service times.
-        let run =
-            |s: &mut Vec<Box<dyn ServiceSession>>| {
-                simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
-            };
+        let run = |s: &mut Vec<Box<dyn ServiceSession>>| {
+            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
+        };
         let (a1, a2) = (run(&mut cached), run(&mut cached));
         let (b1, b2) = (run(&mut uncached), run(&mut uncached));
 
@@ -748,10 +752,9 @@ mod tests {
             s.set_cache_capacity(1);
         }
 
-        let run =
-            |s: &mut Vec<Box<dyn ServiceSession>>| {
-                simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
-            };
+        let run = |s: &mut Vec<Box<dyn ServiceSession>>| {
+            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, s)
+        };
         // Two runs each: the second run exercises replay (hits for the
         // unbounded memo, evictions for the capacity-1 one).
         let (a1, a2) = (run(&mut unbounded), run(&mut unbounded));
@@ -761,7 +764,10 @@ mod tests {
             t1.service_cache.evictions + t2.service_cache.evictions > 0,
             "capacity-1 memo must evict under multiple distinct batches"
         );
-        assert_eq!(a1.service_cache.evictions, 0, "default capacity never evicts here");
+        assert_eq!(
+            a1.service_cache.evictions, 0,
+            "default capacity never evicts here"
+        );
 
         let mut t1n = t1.clone();
         let mut t2n = t2.clone();
@@ -816,7 +822,14 @@ mod tests {
             };
             let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
             let report = simulate_tenant_sessions(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions,
+                "CPU",
+                &trace,
+                &plan,
+                &requests,
+                &mix,
+                cfg,
+                cps,
+                &mut sessions,
             );
             assert_eq!(report.tenants.len(), 2);
             let mut total = 0u64;
@@ -856,7 +869,14 @@ mod tests {
             };
             let mut sessions = open_sessions(&trace, &plan, |_, _| CpuBaseline::new(dram.clone()));
             simulate_tenant_sessions(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions,
+                "CPU",
+                &trace,
+                &plan,
+                &requests,
+                &mix,
+                cfg,
+                cps,
+                &mut sessions,
             )
         };
         let fifo = run(QueuePolicy::Fifo, false);
@@ -904,14 +924,29 @@ mod tests {
 
         let mut plain_sessions = open_sessions(&trace, &plan, make);
         let plain = simulate_tenant_sessions(
-            "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut plain_sessions,
+            "CPU",
+            &trace,
+            &plan,
+            &requests,
+            &mix,
+            cfg,
+            cps,
+            &mut plain_sessions,
         );
 
         let traced_run = || {
             let mut sessions = open_sessions(&trace, &plan, make);
             let mut obs = ServeObs::new(dram.clone());
             let report = simulate_tenant_sessions_obs(
-                "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions, &mut obs,
+                "CPU",
+                &trace,
+                &plan,
+                &requests,
+                &mix,
+                cfg,
+                cps,
+                &mut sessions,
+                &mut obs,
             );
             (report, obs)
         };
@@ -924,17 +959,29 @@ mod tests {
         // agree with the report's own accounting.
         let t = obs.lifecycle_totals();
         assert_eq!(t.spans, traced.requests);
-        assert_eq!(t.completed + t.late + t.queue_shed + t.deadline_shed, t.spans);
+        assert_eq!(
+            t.completed + t.late + t.queue_shed + t.deadline_shed,
+            t.spans
+        );
         assert_eq!(t.queue_shed + t.deadline_shed, traced.shed);
-        assert_eq!(t.completed, traced.tenants.iter().map(|x| x.completed).sum());
+        assert_eq!(
+            t.completed,
+            traced.tenants.iter().map(|x| x.completed).sum()
+        );
         assert_eq!(t.late, traced.tenants.iter().map(|x| x.missed).sum());
-        assert_eq!(t.queue_shed, traced.tenants.iter().map(|x| x.queue_shed).sum());
+        assert_eq!(
+            t.queue_shed,
+            traced.tenants.iter().map(|x| x.queue_shed).sum()
+        );
         assert_eq!(
             t.deadline_shed,
             traced.tenants.iter().map(|x| x.deadline_shed).sum()
         );
         // This configuration exercises both drop paths and real traffic.
-        assert!(t.queue_shed > 0, "queue_depth=32 should tail-drop under overload");
+        assert!(
+            t.queue_shed > 0,
+            "queue_depth=32 should tail-drop under overload"
+        );
         assert!(t.deadline_shed > 0, "EDF shedding should fire");
         assert!(t.completed > 0);
 
@@ -994,7 +1041,15 @@ mod tests {
         obs.stream_to(out.clone());
         obs.enable_agg();
         let report = simulate_tenant_sessions_obs(
-            "CPU", &trace, &plan, &requests, &mix, cfg, cps, &mut sessions, &mut obs,
+            "CPU",
+            &trace,
+            &plan,
+            &requests,
+            &mix,
+            cfg,
+            cps,
+            &mut sessions,
+            &mut obs,
         );
         obs.finish().unwrap();
 
@@ -1044,14 +1099,28 @@ mod tests {
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
         let mut plain_sessions = open_sessions(&trace, &plan, make);
-        let plain =
-            simulate_sessions("CPU", &trace, &plan, &arrivals, cfg, cps, &mut plain_sessions);
+        let plain = simulate_sessions(
+            "CPU",
+            &trace,
+            &plan,
+            &arrivals,
+            cfg,
+            cps,
+            &mut plain_sessions,
+        );
 
         let mut sessions = open_sessions(&trace, &plan, make);
         let mut obs = ServeObs::new(dram.clone());
         obs.set_dram_trace(false);
         let traced = simulate_sessions_obs(
-            "CPU", &trace, &plan, &arrivals, cfg, cps, &mut sessions, &mut obs,
+            "CPU",
+            &trace,
+            &plan,
+            &arrivals,
+            cfg,
+            cps,
+            &mut sessions,
+            &mut obs,
         );
         assert_eq!(traced.to_json(), plain.to_json());
         assert_eq!(obs.lifecycle_totals().spans, traced.requests);
@@ -1060,4 +1129,3 @@ mod tests {
         assert!(!obs.chrome_trace_string().contains("bank 0"));
     }
 }
-

@@ -451,8 +451,7 @@ mod tests {
         let mut report = fake_run(qps, 1e12);
         let cps = report.cycles_per_sec;
         let rt = TenantClass::new("rt", 0.7, TenantProcess::Poisson, 50.0, Priority::High);
-        let batch =
-            TenantClass::new("batch", 0.3, TenantProcess::Poisson, 1e6, Priority::Low);
+        let batch = TenantClass::new("batch", 0.3, TenantProcess::Poisson, 1e6, Priority::Low);
         let mut rt_report = TenantReport::new(&rt);
         rt_report.requests = 70;
         rt_report.completed = 70;
@@ -470,9 +469,7 @@ mod tests {
     fn converges_to_latency_bound() {
         // p99(q) = 10 + q/1000 µs; bound 50 µs → capacity 40 000 qps
         // (shedding capacity far above, so latency binds).
-        let r = search("fake", 50.0, 1_000.0, 100_000.0, 20, |q| {
-            fake_run(q, 1e12)
-        });
+        let r = search("fake", 50.0, 1_000.0, 100_000.0, 20, |q| fake_run(q, 1e12));
         // The log-scale histogram quantizes latencies within ~3 %, which
         // shifts the apparent latency knee by a few percent of QPS.
         assert!(
@@ -529,9 +526,7 @@ mod tests {
 
     #[test]
     fn json_is_wellformed() {
-        let r = search("fa\"ke", 50.0, 1_000.0, 100_000.0, 4, |q| {
-            fake_run(q, 1e12)
-        });
+        let r = search("fa\"ke", 50.0, 1_000.0, 100_000.0, 4, |q| fake_run(q, 1e12));
         let j = r.to_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         for key in [
@@ -570,9 +565,7 @@ mod tests {
 
     #[test]
     fn tenant_search_json_is_wellformed_and_deterministic() {
-        let go = || {
-            search_tenants("fake", 1_000.0, 100_000.0, 6, fake_tenant_run).to_json()
-        };
+        let go = || search_tenants("fake", 1_000.0, 100_000.0, 6, fake_tenant_run).to_json();
         let j = go();
         assert_eq!(j, go(), "same inputs, same bytes");
         assert_eq!(j.matches('{').count(), j.matches('}').count());

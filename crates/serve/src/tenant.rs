@@ -191,7 +191,10 @@ impl TenantMix {
     ///
     /// Panics if `classes` is empty or two classes share a name.
     pub fn new(classes: Vec<TenantClass>) -> Self {
-        assert!(!classes.is_empty(), "tenant mix must have at least one class");
+        assert!(
+            !classes.is_empty(),
+            "tenant mix must have at least one class"
+        );
         for (i, a) in classes.iter().enumerate() {
             for b in &classes[..i] {
                 assert!(a.name != b.name, "duplicate tenant name {:?}", a.name);
@@ -253,7 +256,10 @@ impl TenantMix {
                 // seeds distinct for any base seed.
                 let tenant_seed =
                     seed.wrapping_add((t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                class.process.at(rate).timestamps(n, cycles_per_sec, tenant_seed)
+                class
+                    .process
+                    .at(rate)
+                    .timestamps(n, cycles_per_sec, tenant_seed)
             })
             .collect();
         let deadlines: Vec<Cycle> = self
@@ -316,10 +322,7 @@ mod tests {
         let mix = two_tenants();
         let reqs = mix.requests(4_000, 100_000.0, CPS, 3);
         let rt = reqs.iter().filter(|r| r.tenant == 0).count() as f64 / 4_000.0;
-        assert!(
-            (rt - 0.7).abs() < 0.05,
-            "rt share {rt} should be near 0.7"
-        );
+        assert!((rt - 0.7).abs() < 0.05, "rt share {rt} should be near 0.7");
     }
 
     #[test]
@@ -343,8 +346,20 @@ mod tests {
             TenantClass::new("y", 1.0, TenantProcess::Poisson, 100.0, Priority::Normal),
         ]);
         let b = TenantMix::new(vec![
-            TenantClass::new("x", 2.0 / 3.0, TenantProcess::Poisson, 100.0, Priority::Normal),
-            TenantClass::new("y", 1.0 / 3.0, TenantProcess::Poisson, 100.0, Priority::Normal),
+            TenantClass::new(
+                "x",
+                2.0 / 3.0,
+                TenantProcess::Poisson,
+                100.0,
+                Priority::Normal,
+            ),
+            TenantClass::new(
+                "y",
+                1.0 / 3.0,
+                TenantProcess::Poisson,
+                100.0,
+                Priority::Normal,
+            ),
         ]);
         assert_eq!(
             a.requests(200, 10_000.0, CPS, 5),

@@ -63,6 +63,7 @@ pub use recross_workload as workload;
 /// assert!(report.to_json().contains("\"service_cache\""));
 /// ```
 pub mod prelude {
+    pub use recross::{empirical_profiles, ReCross, ReCrossConfig};
     pub use recross_dram::{Cycle, DramConfig};
     pub use recross_nmp::{
         AccessProfile, ChannelPlan, CpuBaseline, EmbeddingAccelerator, Fafnir, MemoizedSession,
@@ -75,5 +76,4 @@ pub mod prelude {
         TenantRequest, TenantSloProbe, TenantSloReport, TenantVerdict,
     };
     pub use recross_workload::{Batch, EmbeddingTableSpec, Trace, TraceGenerator};
-    pub use recross::{empirical_profiles, ReCross, ReCrossConfig};
 }

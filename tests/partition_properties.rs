@@ -117,7 +117,13 @@ fn placement_is_injective_and_region_consistent() {
                     "case {case}"
                 );
                 assert!(
-                    seen.insert((addr.rank, addr.bank_group, addr.bank, addr.row, addr.col_byte)),
+                    seen.insert((
+                        addr.rank,
+                        addr.bank_group,
+                        addr.bank,
+                        addr.row,
+                        addr.col_byte
+                    )),
                     "case {case}: collision at table {t} rank {rank}"
                 );
             }
