@@ -27,29 +27,37 @@ use crate::workloads::{dram, generator, standard_trace, Scale};
 ///
 /// The ReCross system is built from analytic profiles of the generator and
 /// the TRiM variants get the trace-derived replication profile, as in §5.1.
+///
+/// ReCross's set-up (LP partitioning, placement) and run go to a scoped
+/// thread while the five baselines run on the calling thread. No run
+/// depends on another, so the reports are those of running the six one
+/// after another, in the same order.
 pub fn run_all(g: &TraceGenerator, trace: &Trace, dram_cfg: &DramConfig) -> Vec<RunReport> {
-    let profile = AccessProfile::from_trace(trace);
-    let profiles = analytic_profiles(g);
-    let batch = g.batch_size_value() as f64;
-    let mut out = Vec::with_capacity(6);
-    out.push(CpuBaseline::new(dram_cfg.clone()).run(trace));
-    out.push(TensorDimm::new(dram_cfg.clone()).run(trace));
-    out.push(RecNmp::new(dram_cfg.clone()).run(trace));
-    out.push(
-        Trim::bank_group(dram_cfg.clone())
-            .with_profile(profile.clone())
-            .run(trace),
-    );
-    out.push(
-        Trim::bank(dram_cfg.clone())
-            .with_profile(profile)
-            .run(trace),
-    );
-    let mut cfg = ReCrossConfig::default_d(dram_cfg.clone());
-    cfg.name = "ReCross".to_owned();
-    let mut rc = ReCross::new(cfg, profiles, batch).expect("placement fits");
-    out.push(rc.run(trace));
-    out
+    std::thread::scope(|s| {
+        let recross = s.spawn(|| {
+            let mut cfg = ReCrossConfig::default_d(dram_cfg.clone());
+            cfg.name = "ReCross".to_owned();
+            let batch = g.batch_size_value() as f64;
+            ReCross::new(cfg, analytic_profiles(g), batch)
+                .expect("placement fits")
+                .run(trace)
+        });
+        let profile = AccessProfile::from_trace(trace);
+        vec![
+            CpuBaseline::new(dram_cfg.clone()).run(trace),
+            TensorDimm::new(dram_cfg.clone()).run(trace),
+            RecNmp::new(dram_cfg.clone()).run(trace),
+            Trim::bank_group(dram_cfg.clone())
+                .with_profile(profile.clone())
+                .run(trace),
+            Trim::bank(dram_cfg.clone())
+                .with_profile(profile)
+                .run(trace),
+            recross
+                .join()
+                .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+        ]
+    })
 }
 
 /// Figure 3: cumulative access share vs fraction of rows, per table.
@@ -603,6 +611,36 @@ pub fn region_split() -> (u32, u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `run_all` runs ReCross on its own thread; its reports must still be
+    /// each model's own sequential `run`, in CPU-first order.
+    #[test]
+    fn run_all_matches_sequential_runs_in_order() {
+        let g = generator(Scale::Tiny, 64).batches(2);
+        let trace = g.generate(7);
+        let d = dram();
+        let profile = AccessProfile::from_trace(&trace);
+        let mut cfg = ReCrossConfig::default_d(d.clone());
+        cfg.name = "ReCross".to_owned();
+        let recross = ReCross::new(cfg, analytic_profiles(&g), g.batch_size_value() as f64);
+        let models: Vec<Box<dyn EmbeddingAccelerator>> = vec![
+            Box::new(CpuBaseline::new(d.clone())),
+            Box::new(TensorDimm::new(d.clone())),
+            Box::new(RecNmp::new(d.clone())),
+            Box::new(Trim::bank_group(d.clone()).with_profile(profile.clone())),
+            Box::new(Trim::bank(d.clone()).with_profile(profile)),
+            Box::new(recross.expect("placement fits")),
+        ];
+        let want: Vec<String> = models
+            .into_iter()
+            .map(|mut m| format!("{:?}", m.run(&trace)))
+            .collect();
+        let got: Vec<String> = run_all(&g, &trace, &d)
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn fig3_curves_are_monotone() {

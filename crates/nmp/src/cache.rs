@@ -1,37 +1,42 @@
-//! A small fixed-capacity LRU cache.
+//! A small fixed-capacity LRU map.
 //!
 //! Used for the RecNMP per-rank hot-entry caches (1 MiB per rank PE, paper
-//! §5.1) and as the serving memo's recency list. Implemented with a
-//! HashMap + intrusive doubly-linked list over a slab, so every operation
-//! is O(1) and deterministic. Storage grows with the keys held, up to the
-//! capacity.
+//! §5.1), as a set with `()` values, and for the serving memo, which maps
+//! batch signatures to cycles. Implemented with a HashMap + intrusive
+//! doubly-linked list over a slab, so every operation is O(1) and
+//! deterministic. Storage grows with the keys held, up to the capacity.
+//!
+//! The map and the slab each hold one handle per key, so a key that owns a
+//! large allocation should be shared (`Rc<[u64]>`): both handles then point
+//! at the same allocation, and lookups borrow it (`&[u64]`).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
 const NIL: usize = usize::MAX;
 
 #[derive(Debug, Clone)]
-struct Node<K> {
+struct Node<K, V> {
     key: K,
+    value: V,
     prev: usize,
     next: usize,
 }
 
-/// A fixed-capacity LRU set: `touch` inserts/refreshes a key and reports
-/// whether it was already present.
+/// A fixed-capacity LRU map. With the default `()` values it is an LRU
+/// set: `touch` inserts/refreshes a key and reports whether it was already
+/// present.
 #[derive(Debug, Clone)]
-pub struct LruCache<K: Eq + Hash + Clone> {
+pub struct LruCache<K: Eq + Hash + Clone, V = ()> {
     map: HashMap<K, usize>,
-    nodes: Vec<Node<K>>,
+    nodes: Vec<Node<K, V>>,
     head: usize, // most recent
     tail: usize, // least recent
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
-impl<K: Eq + Hash + Clone> LruCache<K> {
+impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Creates a cache holding at most `capacity` keys.
     ///
     /// # Panics
@@ -48,8 +53,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             head: NIL,
             tail: NIL,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -68,129 +71,131 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         self.capacity
     }
 
-    /// Hit count so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Whether `key` is currently cached (no recency update, no stats).
-    pub fn contains(&self, key: &K) -> bool {
+    /// Whether `key` is currently cached (no recency update).
+    pub fn contains<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.map.contains_key(key)
     }
 
-    /// Accesses `key`: returns `true` on hit. On miss the key is inserted,
-    /// evicting the least recently used key if full.
-    pub fn touch(&mut self, key: K) -> bool {
-        self.touch_evict(key).0
+    /// The value cached under `key`, refreshing the key's recency on a hit.
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let idx = *self.map.get(key)?;
+        self.move_to_front(idx);
+        Some(&self.nodes[idx].value)
     }
 
-    /// [`touch`](Self::touch), additionally returning the key evicted to
-    /// make room (always `None` on a hit). Lets callers that pair this
-    /// recency list with an external value store drop the evicted value.
-    pub fn touch_evict(&mut self, key: K) -> (bool, Option<K>) {
+    /// Caches `value` under `key` as the most recent entry, replacing the
+    /// value of a key already present. Returns the least recently used
+    /// entry evicted to make room, if the cache was full.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
-            self.hits += 1;
+            self.nodes[idx].value = value;
             self.move_to_front(idx);
-            return (true, None);
+            return None;
         }
-        self.misses += 1;
-        let evicted = if self.map.len() == self.capacity {
-            Some(self.evict_tail())
-        } else {
-            None
-        };
+        let evicted = (self.map.len() == self.capacity).then(|| self.evict_tail());
         let idx = self.nodes.len();
         self.nodes.push(Node {
             key: key.clone(),
+            value,
             prev: NIL,
-            next: self.head,
+            next: NIL,
         });
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
+        self.push_front(idx);
         self.map.insert(key, idx);
-        (false, evicted)
+        evicted
     }
 
     fn move_to_front(&mut self, idx: usize) {
-        if idx == self.head {
-            return;
+        if idx != self.head {
+            self.unlink(idx);
+            self.push_front(idx);
         }
+    }
+
+    fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
         if prev != NIL {
             self.nodes[prev].next = next;
+        } else {
+            self.head = next;
         }
         if next != NIL {
             self.nodes[next].prev = prev;
-        }
-        if idx == self.tail {
+        } else {
             self.tail = prev;
         }
+    }
+
+    fn push_front(&mut self, idx: usize) {
         self.nodes[idx].prev = NIL;
         self.nodes[idx].next = self.head;
         if self.head != NIL {
             self.nodes[self.head].prev = idx;
+        } else {
+            self.tail = idx;
         }
         self.head = idx;
     }
 
-    fn evict_tail(&mut self) -> K {
-        let old_tail = self.tail;
-        debug_assert_ne!(old_tail, NIL, "evict from empty cache");
-        let key = self.nodes[old_tail].key.clone();
-        self.map.remove(&key);
-        let prev = self.nodes[old_tail].prev;
-        self.tail = prev;
-        if prev != NIL {
-            self.nodes[prev].next = NIL;
-        } else {
-            self.head = NIL;
+    fn evict_tail(&mut self) -> (K, V) {
+        let idx = self.tail;
+        debug_assert_ne!(idx, NIL, "evict from empty cache");
+        self.unlink(idx);
+        // Free the slab slot: the last node moves into it.
+        let node = self.nodes.swap_remove(idx);
+        self.map.remove(&node.key);
+        if idx < self.nodes.len() {
+            let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
+            if prev != NIL {
+                self.nodes[prev].next = idx;
+            } else {
+                self.head = idx;
+            }
+            if next != NIL {
+                self.nodes[next].prev = idx;
+            } else {
+                self.tail = idx;
+            }
+            *self
+                .map
+                .get_mut(&self.nodes[idx].key)
+                .expect("every slab node is mapped") = idx;
         }
-        // Reuse the slab slot: swap-remove pattern.
-        let last = self.nodes.len() - 1;
-        if old_tail != last {
-            self.nodes.swap(old_tail, last);
-            let moved_key = self.nodes[old_tail].key.clone();
-            self.map.insert(moved_key, old_tail);
-            let (p, n) = (self.nodes[old_tail].prev, self.nodes[old_tail].next);
-            if p != NIL {
-                self.nodes[p].next = old_tail;
-            }
-            if n != NIL {
-                self.nodes[n].prev = old_tail;
-            }
-            if self.head == last {
-                self.head = old_tail;
-            }
-            if self.tail == last {
-                self.tail = old_tail;
-            }
+        (node.key, node.value)
+    }
+}
+
+impl<K: Eq + Hash + Clone> LruCache<K> {
+    /// Accesses `key`: returns `true` on hit. On miss the key is inserted,
+    /// evicting the least recently used key if full.
+    pub fn touch(&mut self, key: K) -> bool {
+        let hit = self.get(&key).is_some();
+        if !hit {
+            self.insert(key, ());
         }
-        self.nodes.pop();
-        key
+        hit
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
 
     #[test]
     fn hit_after_insert() {
         let mut c = LruCache::new(2);
         assert!(!c.touch(1));
         assert!(c.touch(1));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -233,13 +238,31 @@ mod tests {
     }
 
     #[test]
-    fn touch_evict_reports_victim() {
+    fn insert_reports_victim() {
         let mut c = LruCache::new(2);
-        assert_eq!(c.touch_evict(1), (false, None));
-        assert_eq!(c.touch_evict(2), (false, None));
-        assert_eq!(c.touch_evict(1), (true, None), "hit never evicts");
-        assert_eq!(c.touch_evict(3), (false, Some(2)), "LRU key 2 evicted");
-        assert!(c.contains(&1) && c.contains(&3));
+        assert_eq!(c.insert(1, 'a'), None);
+        assert_eq!(c.insert(2, 'b'), None);
+        assert_eq!(c.get(&1).copied(), Some('a'), "get refreshes 1");
+        assert_eq!(c.insert(1, 'A'), None, "replacing never evicts");
+        assert_eq!(c.insert(3, 'c'), Some((2, 'b')), "LRU entry 2 evicted");
+        assert_eq!(
+            (c.get(&1).copied(), c.get(&2).copied(), c.get(&3).copied()),
+            (Some('A'), None, Some('c'))
+        );
+    }
+
+    /// A shared key is one allocation held by both the map and the slab,
+    /// and is looked up by the borrowed slice.
+    #[test]
+    fn shared_keys_are_looked_up_by_slice() {
+        let mut c: LruCache<Rc<[u64]>, u64> = LruCache::new(2);
+        let key: Rc<[u64]> = Rc::from(vec![7, 8, 9]);
+        c.insert(Rc::clone(&key), 42);
+        assert_eq!(Rc::strong_count(&key), 3, "caller, map and slab");
+        assert_eq!(c.get(&[7, 8, 9][..]).copied(), Some(42));
+        c.insert(Rc::from(vec![1]), 1);
+        c.insert(Rc::from(vec![2]), 2);
+        assert_eq!(Rc::strong_count(&key), 1, "eviction drops both handles");
     }
 
     #[test]
@@ -258,6 +281,8 @@ mod tests {
             reference.insert(0, key);
             reference.truncate(cap);
             assert_eq!(c.len(), reference.len());
+            assert_eq!(c.nodes.len(), reference.len());
+            assert!(c.map.iter().all(|(k, &i)| c.nodes[i].key == *k));
         }
     }
 }
