@@ -11,8 +11,9 @@
 //! repro [--quick] run [--arch=cpu|recross] [--seed=N] [--trace-out=FILE] [--agg-out=FILE] [--obs-summary[=FILE]] [--out=FILE]
 //! ```
 //!
-//! An unknown experiment name, an unknown flag, a removed flag, or a
-//! value flag without its `=VALUE` exits with status 2 and one line on
+//! An unknown experiment name, an unknown flag, a removed flag, a value
+//! flag without its `=VALUE`, or a flag that the chosen mode does not read
+//! (`recross_bench::cli::check_modes`) exits with status 2 and one line on
 //! stderr, before anything runs. With no name, `all` runs.
 //!
 //! `--quick` runs the 1/100-scale workload (seconds instead of minutes);
@@ -64,7 +65,9 @@
 //! `--obs-summary` emits the attribution JSON (folded incrementally, so no
 //! command is retained).
 
+use recross_bench::cli;
 use recross_bench::experiments as exp;
+use recross_bench::serving::{self, Traffic};
 use recross_bench::workloads::{dram, standard_trace, Scale};
 
 /// Every experiment name, in run order: the name on the command line,
@@ -122,8 +125,12 @@ fn main() {
         .collect();
     let what = if what.is_empty() { vec!["all"] } else { what };
     let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).chain(["all"]).collect();
-    let checked = recross_bench::cli::check_flags(&args)
-        .and_then(|()| recross_bench::cli::check_experiments(&what, &known));
+    let mut modes: Vec<String> = what.iter().map(|n| cli::mode(n, &args)).collect();
+    modes.sort();
+    modes.dedup();
+    let checked = cli::check_flags(&args)
+        .and_then(|()| cli::check_experiments(&what, &known))
+        .and_then(|()| cli::check_modes(&args, &modes));
     if let Err(e) = checked {
         eprintln!("{e}");
         std::process::exit(2);
@@ -372,22 +379,19 @@ fn training(scale: Scale) {
 }
 
 fn serve(scale: Scale, args: &[String]) {
-    use recross_bench::cli;
     use recross_serve::QueuePolicy;
 
     let fail = |e: String| -> ! {
         eprintln!("{e}");
         std::process::exit(2);
     };
-    let bursty = args.iter().any(|a| a == "--bursty");
     let tenants = cli::parse_tenants(args).unwrap_or_else(|e| fail(e));
-    if bursty && tenants.is_some() {
-        fail(
-            "--bursty conflicts with --tenants: per-tenant arrival shapes come \
-             from the tenant spec (name:share:poisson|bursty|mmpp:deadline:priority)"
-                .to_string(),
-        );
-    }
+    let traffic = match &tenants {
+        Some(mix) => Traffic::Tenants(mix),
+        None => Traffic::Stream {
+            bursty: args.iter().any(|a| a == "--bursty"),
+        },
+    };
     // Tenant mode defaults to EDF (deadlines are what it is for); the
     // single-class sweep keeps its FIFO default. `--fifo`/`--sjf`/`--edf`
     // force a policy in either mode.
@@ -407,17 +411,17 @@ fn serve(scale: Scale, args: &[String]) {
     let out = cli::value_of(args, "--out");
 
     let slo = args.iter().any(|a| a == "--slo-search");
-    let traced = cli::value_of(args, "--trace-out").is_some()
-        || cli::value_of(args, "--agg-out").is_some()
-        || cli::parse_obs_summary(args) != cli::ObsSummary::Off;
-    let json = if traced && !slo {
-        serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, load, args)
+    let traced = cli::traced(args);
+    let json = if !slo {
+        if traced {
+            serve_trace_point(scale, traffic, policy, seed, load, arch, args)
+        } else {
+            serve_sweep(scale, traffic, policy, seed)
+        }
     } else {
-        let (json, rates) = match (&tenants, slo) {
-            (Some(mix), true) => serve_tenant_slo(scale, mix, policy, seed),
-            (Some(mix), false) => (serve_tenant_sweep(scale, mix, policy, seed), Vec::new()),
-            (None, true) => serve_slo_search(scale, bursty, policy, seed, slo_p99_us),
-            (None, false) => (serve_qps_sweep(scale, bursty, policy, seed), Vec::new()),
+        let (json, rates) = match traffic {
+            Traffic::Tenants(mix) => serve_tenant_slo(scale, mix, policy, seed),
+            Traffic::Stream { bursty } => serve_slo_search(scale, bursty, policy, seed, slo_p99_us),
         };
         if traced {
             // Re-serve the found max-QPS point traced. `rates` carries
@@ -429,7 +433,7 @@ fn serve(scale: Scale, args: &[String]) {
                 .unwrap_or_else(|| fail(format!("search produced no rate for {arch}")));
             if *max_qps > 0.0 {
                 let load = max_qps / (bracket_hi / 2.0);
-                serve_trace_point(scale, tenants.as_ref(), bursty, policy, seed, load, args);
+                serve_trace_point(scale, traffic, policy, seed, load, arch, args);
             } else {
                 println!("{arch}: no SLO-compliant rate in bracket; nothing to trace");
             }
@@ -460,7 +464,6 @@ fn write_artifact(path: &str, contents: &str, what: &str) {
 
 /// Emits an observability summary JSON per the `--obs-summary` form.
 fn emit_obs_summary(args: &[String], json: &str) {
-    use recross_bench::cli;
     match cli::parse_obs_summary(args) {
         cli::ObsSummary::Off => {}
         cli::ObsSummary::Stdout => println!("{json}"),
@@ -498,24 +501,21 @@ fn recorder_stats_line(heap: usize, sinks: &[recross_obs::SinkStats]) -> String 
     )
 }
 
-/// Serves one traced point at `load` × capacity, writes the requested
-/// artifacts, and returns the point's JSON document.
+/// Serves one traced point of `arch` at `load` × capacity, writes the
+/// requested artifacts, and returns the point's JSON document.
 fn serve_trace_point(
     scale: Scale,
-    mix: Option<&recross_serve::TenantMix>,
-    bursty: bool,
+    traffic: Traffic,
     policy: recross_serve::QueuePolicy,
     seed: u64,
     load: f64,
+    arch: &str,
     args: &[String],
 ) -> String {
-    use recross_bench::{cli, serving};
-
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
+    let (mix, bursty) = match traffic {
+        Traffic::Stream { bursty } => (None, bursty),
+        Traffic::Tenants(mix) => (Some(mix), false),
     };
-    let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
     let dram_tracks = !args.iter().any(|a| a == "--timeline-only");
     let trace_out = cli::value_of(args, "--trace-out");
     let agg_out = cli::value_of(args, "--agg-out");
@@ -537,7 +537,10 @@ fn serve_trace_point(
         dram_tracks,
         opts,
     )
-    .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
+    .unwrap_or_else(|e| {
+        eprintln!("cannot write streamed trace: {e}");
+        std::process::exit(2);
+    });
     println!(
         "{}: {:.0} offered qps ({:.2}x of {:.0} capacity qps), {} requests: \
          {} completed, {} late, {} queue-shed, {} deadline-shed",
@@ -586,7 +589,7 @@ fn serve_trace_point(
 }
 
 fn run_traced(scale: Scale, args: &[String]) {
-    use recross_bench::{cli, runtrace};
+    use recross_bench::runtrace;
 
     let fail = |e: String| -> ! {
         eprintln!("{e}");
@@ -598,7 +601,7 @@ fn run_traced(scale: Scale, args: &[String]) {
     let agg_out = cli::value_of(args, "--agg-out");
 
     banner("recross-obs: closed-loop traced run (engine batches down to DRAM commands)");
-    let opts = recross_bench::serving::TraceOptions {
+    let opts = serving::TraceOptions {
         stream: trace_out.map(open_stream),
         agg: agg_out.is_some(),
         buffered: false,
@@ -632,42 +635,73 @@ fn run_traced(scale: Scale, args: &[String]) {
     }
 }
 
-fn serve_qps_sweep(
+fn serve_sweep(
     scale: Scale,
-    bursty: bool,
+    traffic: Traffic,
     policy: recross_serve::QueuePolicy,
     seed: u64,
 ) -> String {
-    use recross_bench::serving;
-
-    banner("recross-serve: offered-QPS sweep (open-loop arrivals, batching queue per channel)");
-    let sweeps = serving::qps_sweep(scale, bursty, policy, seed);
-    println!(
-        "{:<10} {:>9} {:>14} {:>12} {:>10} {:>12} {:>12} {:>9} {:>7}",
-        "arch", "load", "offered qps", "goodput", "shed", "p50 (us)", "p99 (us)", "util", "cache"
-    );
+    let tenants = matches!(traffic, Traffic::Tenants(_));
+    if tenants {
+        banner("recross-serve: multi-tenant sweep (deadline-aware batching queue per channel)");
+        println!(
+            "{:<10} {:>6} {:<8} {:>12} {:>12} {:>10} {:>9} {:>9}",
+            "arch", "load", "tenant", "p50 (us)", "p99 (us)", "goodput", "shed", "miss"
+        );
+    } else {
+        banner("recross-serve: offered-QPS sweep (open-loop arrivals, batching queue per channel)");
+        println!(
+            "{:<10} {:>9} {:>14} {:>12} {:>10} {:>12} {:>12} {:>9} {:>7}",
+            "arch",
+            "load",
+            "offered qps",
+            "goodput",
+            "shed",
+            "p50 (us)",
+            "p99 (us)",
+            "util",
+            "cache"
+        );
+    }
+    let sweeps = serving::sweep(scale, traffic, serving::SWEEP_FRACTIONS, policy, seed);
     for s in &sweeps {
         for (fraction, r) in &s.points {
-            let util = r
-                .channels
-                .iter()
-                .map(|c| c.utilization)
-                .fold(0.0f64, f64::max);
-            println!(
-                "{:<10} {:>8.2}x {:>14.0} {:>12.0} {:>9.1}% {:>12.1} {:>12.1} {:>9.2} {:>6.0}%",
-                s.arch,
-                fraction,
-                r.offered_qps,
-                r.goodput_qps(),
-                r.shed_rate() * 100.0,
-                r.cycles_to_us(r.latency.quantile(0.5)),
-                r.cycles_to_us(r.latency.quantile(0.99)),
-                util,
-                r.cache_hit_rate() * 100.0
-            );
+            if !tenants {
+                let util = r
+                    .channels
+                    .iter()
+                    .map(|c| c.utilization)
+                    .fold(0.0f64, f64::max);
+                println!(
+                    "{:<10} {:>8.2}x {:>14.0} {:>12.0} {:>9.1}% {:>12.1} {:>12.1} {:>9.2} {:>6.0}%",
+                    s.arch,
+                    fraction,
+                    r.offered_qps,
+                    r.goodput_qps(),
+                    r.shed_rate() * 100.0,
+                    r.cycles_to_us(r.latency.quantile(0.5)),
+                    r.cycles_to_us(r.latency.quantile(0.99)),
+                    util,
+                    r.cache_hit_rate() * 100.0
+                );
+            }
+            // A stream's reports carry no tenant sections.
+            for (i, t) in r.tenants.iter().enumerate() {
+                println!(
+                    "{:<10} {:>5.2}x {:<8} {:>12.1} {:>12.1} {:>10.0} {:>8.1}% {:>8.1}%",
+                    s.arch,
+                    fraction,
+                    t.name,
+                    r.cycles_to_us(t.latency.quantile(0.5)),
+                    r.cycles_to_us(t.latency.quantile(0.99)),
+                    r.tenant_goodput_qps(i),
+                    t.shed_rate() * 100.0,
+                    t.deadline_miss_rate() * 100.0
+                );
+            }
         }
     }
-    serving::sweep_to_json(&sweeps, scale, bursty, policy, seed)
+    serving::sweep_to_json(&sweeps, scale, traffic, policy, seed)
 }
 
 fn serve_slo_search(
@@ -677,8 +711,6 @@ fn serve_slo_search(
     seed: u64,
     slo_p99_us: f64,
 ) -> (String, Vec<(String, f64, f64)>) {
-    use recross_bench::serving;
-
     banner("recross-serve: closed-loop SLO throughput search (bisection over offered QPS)");
     let reports = serving::slo_search(scale, bursty, policy, seed, slo_p99_us);
     println!(
@@ -707,50 +739,14 @@ fn serve_slo_search(
     )
 }
 
-fn serve_tenant_sweep(
-    scale: Scale,
-    mix: &recross_serve::TenantMix,
-    policy: recross_serve::QueuePolicy,
-    seed: u64,
-) -> String {
-    use recross_bench::serving;
-
-    banner("recross-serve: multi-tenant sweep (deadline-aware batching queue per channel)");
-    let sweeps = serving::tenant_sweep(scale, mix, policy, seed);
-    println!(
-        "{:<10} {:>6} {:<8} {:>12} {:>12} {:>10} {:>9} {:>9}",
-        "arch", "load", "tenant", "p50 (us)", "p99 (us)", "goodput", "shed", "miss"
-    );
-    for s in &sweeps {
-        for (fraction, r) in &s.points {
-            for (i, t) in r.tenants.iter().enumerate() {
-                println!(
-                    "{:<10} {:>5.2}x {:<8} {:>12.1} {:>12.1} {:>10.0} {:>8.1}% {:>8.1}%",
-                    s.arch,
-                    fraction,
-                    t.name,
-                    r.cycles_to_us(t.latency.quantile(0.5)),
-                    r.cycles_to_us(t.latency.quantile(0.99)),
-                    r.tenant_goodput_qps(i),
-                    t.shed_rate() * 100.0,
-                    t.deadline_miss_rate() * 100.0
-                );
-            }
-        }
-    }
-    serving::tenant_sweep_to_json(&sweeps, scale, mix, policy, seed)
-}
-
 fn serve_tenant_slo(
     scale: Scale,
     mix: &recross_serve::TenantMix,
     policy: recross_serve::QueuePolicy,
     seed: u64,
 ) -> (String, Vec<(String, f64, f64)>) {
-    use recross_bench::serving;
-
     banner("recross-serve: multi-tenant SLO search (max aggregate QPS, every tenant on time)");
-    let reports = serving::tenant_slo_search(scale, mix, policy, seed);
+    let reports = serving::tenant_slo_search(scale, mix, policy, seed, serving::SLO_ITERATIONS);
     println!(
         "{:<10} {:>14} {:>8} {:<8} {:>14} {:>14}",
         "arch", "max qps", "probes", "tenant", "p99 (us)", "deadline (us)"

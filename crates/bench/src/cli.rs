@@ -81,6 +81,92 @@ pub fn check_flags(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Flags every `serve` mode reads.
+const SERVE: &str = "--fifo --sjf --edf --seed --out";
+
+/// Flags every traced `serve` mode reads.
+const TRACED: &str = "--arch --timeline-only --trace-out --agg-out --obs-summary";
+
+/// The flags each mode reads besides `--quick`, which every mode reads. A
+/// figure or table name (or `all`) runs `figures`. `serve` runs
+/// `serve TRAFFIC RUN` ([`mode`]): the traffic is one `stream` or, with
+/// `--tenants`, a `tenants` mix; the run is a `sweep`, a `search`
+/// (`--slo-search`), a `traced` point (see [`traced`]), or a `search
+/// traced`, which re-serves the found max-QPS point traced at the rate it
+/// found, so it reads no `--load`. A tenant search judges each class
+/// against its own deadline, so it reads no `--slo-p99`.
+#[rustfmt::skip]
+const MODE_FLAGS: &[(&str, &[&str])] = &[
+    ("figures", &[]),
+    ("run", &["--arch --seed --out --trace-out --agg-out --obs-summary"]),
+    ("serve stream sweep", &[SERVE, "--bursty --qps-sweep"]),
+    ("serve stream search", &[SERVE, "--bursty --slo-search --slo-p99"]),
+    ("serve stream traced", &[SERVE, TRACED, "--bursty --load"]),
+    ("serve stream search traced", &[SERVE, TRACED, "--bursty --slo-search --slo-p99"]),
+    ("serve tenants sweep", &[SERVE, "--tenants --qps-sweep"]),
+    ("serve tenants search", &[SERVE, "--tenants --slo-search"]),
+    ("serve tenants traced", &[SERVE, TRACED, "--tenants --load"]),
+    ("serve tenants search traced", &[SERVE, TRACED, "--tenants --slo-search"]),
+];
+
+/// Whether `serve` traces: `--trace-out`, `--agg-out` or `--obs-summary`
+/// is given.
+pub fn traced(args: &[String]) -> bool {
+    value_of(args, "--trace-out").is_some()
+        || value_of(args, "--agg-out").is_some()
+        || parse_obs_summary(args) != ObsSummary::Off
+}
+
+/// The mode experiment `name` runs under `args`: its key in the table of
+/// the flags each mode reads (see [`check_modes`]).
+pub fn mode(name: &str, args: &[String]) -> String {
+    match name {
+        "run" => name.to_string(),
+        "serve" => {
+            let traffic = match value_of(args, "--tenants") {
+                Some(_) => "tenants",
+                None => "stream",
+            };
+            let run = match (args.iter().any(|a| a == "--slo-search"), traced(args)) {
+                (false, false) => "sweep",
+                (true, false) => "search",
+                (false, true) => "traced",
+                (true, true) => "search traced",
+            };
+            format!("serve {traffic} {run}")
+        }
+        _ => "figures".to_string(),
+    }
+}
+
+/// Rejects the first flag that none of `modes` reads, so a flag is never
+/// silently ignored; the message names the modes that do read it.
+pub fn check_modes(args: &[String], modes: &[String]) -> Result<(), String> {
+    fn readers(flag: &str) -> impl Iterator<Item = &'static str> + '_ {
+        MODE_FLAGS
+            .iter()
+            .filter(move |(_, groups)| {
+                groups
+                    .iter()
+                    .flat_map(|g| g.split_whitespace())
+                    .any(|f| f == flag)
+            })
+            .map(|&(mode, _)| mode)
+    }
+    for arg in args.iter().filter(|a| a.starts_with("--")) {
+        let flag = arg.split_once('=').map_or(arg.as_str(), |(flag, _)| flag);
+        if flag == "--quick" || readers(flag).any(|m| modes.iter().any(|n| n == m)) {
+            continue;
+        }
+        return Err(format!(
+            "{flag} is not read by {}; it applies to {}",
+            modes.join(", "),
+            readers(flag).collect::<Vec<_>>().join(", ")
+        ));
+    }
+    Ok(())
+}
+
 /// Rejects the first experiment name that is not in `known`, so a typo
 /// never silently runs only the names that matched.
 pub fn check_experiments(names: &[&str], known: &[&str]) -> Result<(), String> {
@@ -488,6 +574,131 @@ mod tests {
             "unknown experiment \"fgi4\"; expected one of fig3, fig4, all"
         );
         assert!(check_experiments(&["fig7"], &known).is_err());
+    }
+
+    /// [`check_modes`] over the modes of every experiment name in `list`.
+    fn modes(list: &[&str]) -> Result<(), String> {
+        let a = args(list);
+        let names = list.iter().filter(|x| !x.starts_with("--"));
+        check_modes(&a, &names.map(|n| mode(n, &a)).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn mode_is_settled_by_traffic_and_run() {
+        let m = |list: &[&str]| mode(list[0], &args(list));
+        assert_eq!(m(&["fig9"]), "figures");
+        assert_eq!(m(&["all"]), "figures");
+        assert_eq!(m(&["run", "--trace-out=t.json"]), "run");
+        assert_eq!(m(&["serve"]), "serve stream sweep");
+        assert_eq!(m(&["serve", "--slo-search"]), "serve stream search");
+        assert_eq!(m(&["serve", "--obs-summary"]), "serve stream traced");
+        assert_eq!(
+            m(&[
+                "serve",
+                "--tenants=a:1:poisson:1ms:high",
+                "--slo-search",
+                "--agg-out=a.json"
+            ]),
+            "serve tenants search traced"
+        );
+        // Some mode reads every flag but `--quick` (they all read it), and
+        // every mode `mode` can return has a row.
+        let known = SWITCHES.iter().chain(VALUED.iter().map(|(f, _)| f));
+        for flag in known.chain(&["--obs-summary"]).filter(|f| **f != "--quick") {
+            let read = MODE_FLAGS.iter().flat_map(|(_, g)| g.iter());
+            assert!(
+                read.flat_map(|g| g.split_whitespace()).any(|f| f == *flag),
+                "{flag}"
+            );
+        }
+        for traffic in ["stream", "tenants"] {
+            for run in ["sweep", "search", "traced", "search traced"] {
+                let key = format!("serve {traffic} {run}");
+                assert!(MODE_FLAGS.iter().any(|(m, _)| *m == key), "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn check_modes_accepts_every_flag_its_mode_reads() {
+        let tenants = "--tenants=rt:0.7:poisson:200us:high,batch:0.3:mmpp:5ms:low";
+        for ok in [
+            &["--quick", "all"][..],
+            &["fig9", "fig12"],
+            &["serve", "--qps-sweep", "--seed=7", "--out=s.json"],
+            &["serve", "--bursty", "--sjf", "--seed=7"],
+            &["serve", "--slo-search", "--slo-p99=200", "--edf"],
+            &[
+                "serve",
+                "--slo-search",
+                "--slo-p99=200",
+                "--trace-out=t",
+                "--agg-out=a",
+            ],
+            &[
+                "serve",
+                "--load=1.2",
+                "--arch=cpu",
+                "--timeline-only",
+                "--obs-summary",
+            ],
+            &["serve", tenants, "--fifo", "--seed=7", "--out=t.json"],
+            &["serve", tenants, "--slo-search", "--seed=7"],
+            &[
+                "serve",
+                tenants,
+                "--load=1.2",
+                "--trace-out=t",
+                "--obs-summary=o",
+            ],
+            &[
+                "run",
+                "--arch=cpu",
+                "--seed=7",
+                "--trace-out=t",
+                "--agg-out=a",
+                "--out=r",
+            ],
+            // Several experiments: a flag read by any of them is read.
+            &["fig3", "run", "--seed=3"],
+        ] {
+            assert_eq!(modes(ok), Ok(()), "{ok:?}");
+        }
+    }
+
+    #[test]
+    fn check_modes_rejects_flags_the_mode_never_reads() {
+        let tenants = "--tenants=rt:0.7:poisson:200us:high,batch:0.3:mmpp:5ms:low";
+        for (bad, flag) in [
+            (&["serve", "--load=2"][..], "--load"),
+            (&["serve", "--arch=cpu"], "--arch"),
+            (
+                &["serve", "--slo-search", "--load=2", "--trace-out=t"],
+                "--load",
+            ),
+            (&["serve", "--timeline-only"], "--timeline-only"),
+            (
+                &["serve", tenants, "--slo-search", "--slo-p99=50"],
+                "--slo-p99",
+            ),
+            (&["serve", tenants, "--bursty"], "--bursty"),
+            (&["serve", "--slo-p99=50"], "--slo-p99"),
+            (&["fig9", "--seed=3"], "--seed"),
+            (&["all", "--out=x.json"], "--out"),
+            (&["run", "--bursty"], "--bursty"),
+            (&["run", "--load=1"], "--load"),
+        ] {
+            let err = modes(bad).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{flag} is not read by ")),
+                "{bad:?}: {err}"
+            );
+        }
+        assert_eq!(
+            modes(&["serve", "--load=2"]).unwrap_err(),
+            "--load is not read by serve stream sweep; it applies to serve stream traced, \
+             serve tenants traced"
+        );
     }
 
     #[test]

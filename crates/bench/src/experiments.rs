@@ -2,7 +2,7 @@
 //!
 //! Each function regenerates the data behind one figure or table of the
 //! paper's evaluation (§5). The `repro` binary prints these rows; the
-//! criterion benches time them on the quick scale. Absolute values are our
+//! perfbench `closed_loop` workload times `run_all`. Absolute values are our
 //! simulator's, not the authors' testbed's — EXPERIMENTS.md records the
 //! paper-vs-measured comparison.
 

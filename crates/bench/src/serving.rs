@@ -1,5 +1,6 @@
-//! The open-loop serving experiments: offered-QPS sweep and closed-loop
-//! SLO throughput search, CPU vs ReCross.
+//! The open-loop serving experiments: offered-QPS sweep, closed-loop SLO
+//! throughput search and one traced point, CPU vs ReCross, for one request
+//! stream or a tenant mix ([`Traffic`]).
 //!
 //! This is the serving-systems view of the paper's speedups: instead of
 //! asking "how fast does a fixed trace run" (closed loop), it asks "at a
@@ -20,7 +21,6 @@
 use recross::config::ReCrossConfig;
 use recross::engine::ReCross;
 use recross::profile::empirical_profiles;
-use recross_dram::Cycle;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::ServiceSession;
 use recross_nmp::{AccessProfile, CpuBaseline};
@@ -28,7 +28,7 @@ use recross_obs::{fmt_f64, json_string};
 use recross_serve::{
     open_sessions, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
     simulate_tenant_sessions_obs, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy, ServeObs,
-    ServeReport, SloReport, TenantMix, TenantRequest, TenantSloReport,
+    ServeReport, SloReport, TenantMix, TenantSloReport,
 };
 use recross_workload::{Batch, Trace};
 
@@ -63,36 +63,54 @@ pub(crate) fn scale_name(scale: Scale) -> &'static str {
     }
 }
 
-/// Single-stream arrival shape as it appears in emitted JSON.
-fn arrival_name(bursty: bool) -> &'static str {
-    if bursty {
-        "bursty"
-    } else {
-        "poisson"
+/// The traffic a serving experiment offers. It picks the batching-queue
+/// configuration, how the requests are generated and the traffic's field
+/// of the emitted JSON.
+#[derive(Debug, Clone, Copy)]
+pub enum Traffic<'a> {
+    /// One request stream without deadlines, served through
+    /// [`batcher_config`].
+    Stream {
+        /// Bursty (two-state MMPP) arrivals instead of Poisson ones.
+        bursty: bool,
+    },
+    /// Deadline-tagged requests of a tenant mix, each class drawing its
+    /// own share and arrival shape, served through
+    /// [`tenant_batcher_config`]; reports carry per-tenant sections.
+    Tenants(&'a TenantMix),
+}
+
+impl<'a> Traffic<'a> {
+    /// The mix when there is one (its classes carry their own arrival
+    /// shapes), otherwise one stream of the given shape.
+    fn of(mix: Option<&'a TenantMix>, bursty: bool) -> Self {
+        match mix {
+            Some(mix) => Traffic::Tenants(mix),
+            None => Traffic::Stream { bursty },
+        }
+    }
+
+    fn batcher_config(self, policy: QueuePolicy) -> BatcherConfig {
+        match self {
+            Traffic::Stream { .. } => batcher_config(policy),
+            Traffic::Tenants(_) => tenant_batcher_config(policy),
+        }
+    }
+
+    /// The stream's `"arrival"` shape or the mix's `"tenant_classes"`.
+    fn json_field(self) -> String {
+        match self {
+            Traffic::Stream { bursty } => {
+                let shape = if bursty { "bursty" } else { "poisson" };
+                format!("\"arrival\":{}", json_string(shape))
+            }
+            Traffic::Tenants(mix) => format!("\"tenant_classes\":{}", mix_to_json(mix)),
+        }
     }
 }
 
 /// The architectures every sweep and search compares, in report order.
 const ARCHS: [&str; 2] = ["CPU", "ReCross"];
-
-/// Runs `run` for every architecture of [`ARCHS`] at once, one scoped
-/// thread each, and returns the results in [`ARCHS`] order. No run depends
-/// on another, and each opens its own sessions on its own thread (sessions
-/// are not `Send`), so the results are those of running them one after
-/// another. A worker's panic is re-raised on the calling thread.
-fn per_arch<T: Send>(run: impl Fn(&'static str) -> T + Sync) -> Vec<T> {
-    let run = &run;
-    std::thread::scope(|s| {
-        let workers: Vec<_> = ARCHS
-            .iter()
-            .map(|&arch| s.spawn(move || run(arch)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
 
 /// The batching-queue configuration used by the sweep: modest batches, a
 /// 2 µs linger (small next to service times, so latency is dominated by
@@ -159,28 +177,30 @@ pub(crate) fn arch_sessions(
 
 /// The serving workload every driver shares: single-sample requests (one
 /// request = one batch of the trace), the channel plan sharding them, the
-/// batcher configuration, and the seed their arrivals derive from.
-struct Harness {
+/// traffic and its batcher configuration, and the seed the arrivals
+/// derive from.
+struct Harness<'a> {
     trace: Trace,
     plan: ChannelPlan,
+    traffic: Traffic<'a>,
     cfg: BatcherConfig,
     cps: f64,
     seed: u64,
 }
 
-impl Harness {
-    fn new(scale: Scale, cfg: BatcherConfig, seed: u64) -> Self {
+impl<'a> Harness<'a> {
+    fn new(scale: Scale, traffic: Traffic<'a>, policy: QueuePolicy, seed: u64) -> Self {
         let trace = generator(scale, 64)
             .batch_size(1)
             .batches(requests_for(scale))
             .generate(seed);
         let plan = ChannelPlan::balance_by_load(&trace, CHANNELS);
-        let cps = dram().cycles_per_sec();
         Harness {
             trace,
             plan,
-            cfg,
-            cps,
+            traffic,
+            cfg: traffic.batcher_config(policy),
+            cps: dram().cycles_per_sec(),
             seed,
         }
     }
@@ -216,64 +236,114 @@ impl Harness {
         (sessions, capacity)
     }
 
-    /// Deterministic single-stream arrival timestamps at `qps`. The same
-    /// base seed for every arch/rate pair, so curves differ only by rate
-    /// scaling and service model.
-    fn arrivals(&self, qps: f64, bursty: bool) -> Vec<Cycle> {
-        let process = if bursty {
-            ArrivalProcess::bursty(qps)
-        } else {
-            ArrivalProcess::poisson(qps)
-        };
-        process.timestamps(self.trace.batches.len(), self.cps, self.seed ^ 0xA221)
+    /// Runs `run` for every architecture of [`ARCHS`] at once, one scoped
+    /// thread each, on the sessions and capacity estimate that
+    /// [`open`](Self::open) gives it, and returns the results in [`ARCHS`]
+    /// order. No run depends on another, and each opens its own sessions
+    /// on its own thread (sessions are not `Send`), so the results are
+    /// those of running them one after another. A worker's panic is
+    /// re-raised on the calling thread.
+    fn per_arch<T: Send>(
+        &self,
+        run: impl Fn(&'static str, &mut [Box<dyn ServiceSession>], f64) -> T + Sync,
+    ) -> Vec<T> {
+        let run = &run;
+        std::thread::scope(|s| {
+            let workers: Vec<_> = ARCHS
+                .iter()
+                .map(|&arch| {
+                    s.spawn(move || {
+                        let (mut sessions, capacity) = self.open(arch);
+                        run(arch, &mut sessions, capacity)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
     }
 
-    /// Deterministic deadline-tagged requests of `mix` at aggregate `qps`
-    /// (same seed derivation as [`arrivals`](Self::arrivals)).
-    fn requests(&self, mix: &TenantMix, qps: f64) -> Vec<TenantRequest> {
-        mix.requests(self.trace.batches.len(), qps, self.cps, self.seed ^ 0xA221)
+    /// Serves the traffic once at aggregate rate `qps` on `sessions`,
+    /// traced into `obs` when given. The requests derive from the same
+    /// seed at every rate and on every architecture, so runs differ only
+    /// by rate scaling and service model. This is the one caller of the
+    /// `recross_serve::simulate_*` entry points.
+    fn serve(
+        &self,
+        arch: &str,
+        qps: f64,
+        sessions: &mut [Box<dyn ServiceSession>],
+        obs: Option<&mut ServeObs>,
+    ) -> ServeReport {
+        let (trace, plan, cfg, cps) = (&self.trace, &self.plan, self.cfg, self.cps);
+        let (n, seed) = (trace.batches.len(), self.seed ^ 0xA221);
+        match self.traffic {
+            Traffic::Stream { bursty } => {
+                let process = if bursty {
+                    ArrivalProcess::bursty(qps)
+                } else {
+                    ArrivalProcess::poisson(qps)
+                };
+                let arrivals = process.timestamps(n, cps, seed);
+                match obs {
+                    None => simulate_sessions(arch, trace, plan, &arrivals, cfg, cps, sessions),
+                    Some(obs) => {
+                        simulate_sessions_obs(arch, trace, plan, &arrivals, cfg, cps, sessions, obs)
+                    }
+                }
+            }
+            Traffic::Tenants(mix) => {
+                let requests = mix.requests(n, qps, cps, seed);
+                match obs {
+                    None => simulate_tenant_sessions(
+                        arch, trace, plan, &requests, mix, cfg, cps, sessions,
+                    ),
+                    Some(obs) => simulate_tenant_sessions_obs(
+                        arch, trace, plan, &requests, mix, cfg, cps, sessions, obs,
+                    ),
+                }
+            }
+        }
+    }
+
+    /// Runs `search` for every architecture over the bracket
+    /// `[0.05, 2.0] ×` its estimated saturation rate, its probe serving
+    /// the traffic at the probed rate. Every probe replays the same
+    /// request set on the same sessions, so later probes price most
+    /// batches from the memo.
+    fn search<R: Send>(
+        &self,
+        search: impl Fn(&str, f64, f64, &mut dyn FnMut(f64) -> ServeReport) -> R + Sync,
+    ) -> Vec<R> {
+        self.per_arch(|arch, sessions, capacity| {
+            search(arch, capacity * 0.05, capacity * 2.0, &mut |qps| {
+                self.serve(arch, qps, sessions, None)
+            })
+        })
     }
 }
 
-/// Runs the full sweep ([`SWEEP_FRACTIONS`]): for CPU and ReCross,
-/// estimate capacity, then simulate every fraction of it under the given
-/// arrival process shape and dequeue policy. Deterministic in `seed`.
-pub fn qps_sweep(scale: Scale, bursty: bool, policy: QueuePolicy, seed: u64) -> Vec<ArchSweep> {
-    qps_sweep_at(scale, SWEEP_FRACTIONS, bursty, policy, seed)
-}
-
-/// [`qps_sweep`] over an explicit list of capacity fractions.
-pub fn qps_sweep_at(
+/// Runs a sweep: for CPU and ReCross, estimate capacity, then serve
+/// `traffic` at every fraction of it (the standard list is
+/// [`SWEEP_FRACTIONS`]) under the given dequeue policy. Deterministic in
+/// `seed`.
+pub fn sweep(
     scale: Scale,
+    traffic: Traffic,
     fractions: &[f64],
-    bursty: bool,
     policy: QueuePolicy,
     seed: u64,
 ) -> Vec<ArchSweep> {
-    let h = Harness::new(scale, batcher_config(policy), seed);
-    per_arch(|arch| {
-        let (mut sessions, capacity) = h.open(arch);
-        let points = fractions
+    let h = Harness::new(scale, traffic, policy, seed);
+    h.per_arch(|arch, sessions, capacity| ArchSweep {
+        arch: arch.to_string(),
+        capacity_qps: capacity,
+        points: fractions
             .iter()
-            .map(|&fraction| {
-                let arrivals = h.arrivals(capacity * fraction, bursty);
-                let report = simulate_sessions(
-                    arch,
-                    &h.trace,
-                    &h.plan,
-                    &arrivals,
-                    h.cfg,
-                    h.cps,
-                    &mut sessions,
-                );
-                (fraction, report)
-            })
-            .collect();
-        ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        }
+            .map(|&f| (f, h.serve(arch, capacity * f, sessions, None)))
+            .collect(),
     })
 }
 
@@ -302,126 +372,27 @@ pub fn slo_search_at(
     slo_p99_us: f64,
     iterations: u32,
 ) -> Vec<SloReport> {
-    let h = Harness::new(scale, batcher_config(policy), seed);
-    per_arch(|arch| {
-        // Every probe replays the same request set at a different
-        // rate, so later probes price most batches from the memo.
-        let (mut sessions, capacity) = h.open(arch);
-        recross_serve::slo::search(
-            arch,
-            slo_p99_us,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let arrivals = h.arrivals(qps, bursty);
-                simulate_sessions(
-                    arch,
-                    &h.trace,
-                    &h.plan,
-                    &arrivals,
-                    h.cfg,
-                    h.cps,
-                    &mut sessions,
-                )
-            },
-        )
-    })
-}
-
-/// Runs the multi-tenant sweep: for CPU and ReCross, estimate aggregate
-/// capacity, then serve every [`SWEEP_FRACTIONS`] fraction of it as a
-/// deadline-tagged request stream generated by `mix` (each tenant drawing
-/// its own share and arrival shape), through [`tenant_batcher_config`].
-/// Deterministic in `seed`; the reports carry per-tenant sections.
-pub fn tenant_sweep(
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<ArchSweep> {
-    tenant_sweep_at(scale, mix, SWEEP_FRACTIONS, policy, seed)
-}
-
-/// [`tenant_sweep`] over an explicit list of capacity fractions.
-pub fn tenant_sweep_at(
-    scale: Scale,
-    mix: &TenantMix,
-    fractions: &[f64],
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<ArchSweep> {
-    let h = Harness::new(scale, tenant_batcher_config(policy), seed);
-    per_arch(|arch| {
-        let (mut sessions, capacity) = h.open(arch);
-        let points = fractions
-            .iter()
-            .map(|&fraction| {
-                let requests = h.requests(mix, capacity * fraction);
-                let report = simulate_tenant_sessions(
-                    arch,
-                    &h.trace,
-                    &h.plan,
-                    &requests,
-                    mix,
-                    h.cfg,
-                    h.cps,
-                    &mut sessions,
-                );
-                (fraction, report)
-            })
-            .collect();
-        ArchSweep {
-            arch: arch.to_string(),
-            capacity_qps: capacity,
-            points,
-        }
+    let h = Harness::new(scale, Traffic::Stream { bursty }, policy, seed);
+    h.search(|arch, lo, hi, probe| {
+        recross_serve::slo::search(arch, slo_p99_us, lo, hi, iterations, probe)
     })
 }
 
 /// Runs the multi-tenant SLO throughput search for CPU and ReCross: the
 /// highest **aggregate** QPS at which every tenant of `mix` sheds nothing
-/// and keeps its p99 latency within its own deadline. Bracket and
-/// iteration budget as in [`slo_search`]. Deterministic in `seed`.
+/// and keeps its p99 latency within its own deadline. Bracket as in
+/// [`slo_search`], with `iterations` halvings ([`SLO_ITERATIONS`] in
+/// `repro`). Deterministic in `seed`.
 pub fn tenant_slo_search(
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> Vec<TenantSloReport> {
-    tenant_slo_search_at(scale, mix, policy, seed, SLO_ITERATIONS)
-}
-
-/// [`tenant_slo_search`] with an explicit bisection-iteration count.
-pub fn tenant_slo_search_at(
     scale: Scale,
     mix: &TenantMix,
     policy: QueuePolicy,
     seed: u64,
     iterations: u32,
 ) -> Vec<TenantSloReport> {
-    let h = Harness::new(scale, tenant_batcher_config(policy), seed);
-    per_arch(|arch| {
-        let (mut sessions, capacity) = h.open(arch);
-        recross_serve::slo::search_tenants(
-            arch,
-            capacity * 0.05,
-            capacity * 2.0,
-            iterations,
-            |qps| {
-                let requests = h.requests(mix, qps);
-                simulate_tenant_sessions(
-                    arch,
-                    &h.trace,
-                    &h.plan,
-                    &requests,
-                    mix,
-                    h.cfg,
-                    h.cps,
-                    &mut sessions,
-                )
-            },
-        )
+    let h = Harness::new(scale, Traffic::Tenants(mix), policy, seed);
+    h.search(|arch, lo, hi, probe| {
+        recross_serve::slo::search_tenants(arch, lo, hi, iterations, probe)
     })
 }
 
@@ -443,6 +414,31 @@ fn mix_to_json(mix: &TenantMix) -> String {
         })
         .collect();
     format!("[{}]", classes.join(","))
+}
+
+/// The unclosed head every sweep and SLO document starts with. A stream's
+/// `"arrival"` follows `"scale"`; a mix's `"tenant_classes"` follows
+/// `"requests"`.
+fn document_head(
+    experiment: &str,
+    scale: Scale,
+    traffic: Traffic,
+    policy: QueuePolicy,
+    seed: u64,
+) -> String {
+    let (arrival, classes) = match traffic {
+        Traffic::Stream { .. } => (format!("{},", traffic.json_field()), String::new()),
+        Traffic::Tenants(_) => (String::new(), format!(",{}", traffic.json_field())),
+    };
+    format!(
+        "{{\"experiment\":{},\"scale\":{},{arrival}\"policy\":{},\"seed\":{},\"channels\":{},\"requests\":{}{classes}",
+        json_string(experiment),
+        json_string(scale_name(scale)),
+        json_string(policy.kind()),
+        seed,
+        CHANNELS,
+        requests_for(scale),
+    )
 }
 
 /// The `"archs"` array of a sweep document: per architecture, its
@@ -474,32 +470,35 @@ fn sweeps_to_json(sweeps: &[ArchSweep]) -> String {
 }
 
 /// The whole sweep as one JSON document (deterministic bytes for a given
-/// input — see module docs).
+/// input — CI byte-compares two runs).
 pub fn sweep_to_json(
     sweeps: &[ArchSweep],
     scale: Scale,
-    bursty: bool,
+    traffic: Traffic,
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let cfg = batcher_config(policy);
+    let cfg = traffic.batcher_config(policy);
+    let (experiment, deadline_knobs) = match traffic {
+        Traffic::Stream { .. } => ("serve_qps_sweep", String::new()),
+        Traffic::Tenants(_) => (
+            "serve_tenant_sweep",
+            format!(
+                ",\"shed_expired\":{},\"adaptive_linger\":{}",
+                cfg.shed_expired, cfg.adaptive_linger
+            ),
+        ),
+    };
     format!(
         concat!(
-            "{{\"experiment\":\"serve_qps_sweep\",\"scale\":{},",
-            "\"arrival\":{},\"policy\":{},\"seed\":{},\"channels\":{},",
-            "\"requests\":{},\"batcher\":{{\"max_batch\":{},",
-            "\"max_linger_cycles\":{},\"queue_depth\":{}}},",
-            "\"archs\":[{}]}}"
+            "{},\"batcher\":{{\"max_batch\":{},\"max_linger_cycles\":{},",
+            "\"queue_depth\":{}{}}},\"archs\":[{}]}}"
         ),
-        json_string(scale_name(scale)),
-        json_string(arrival_name(bursty)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
+        document_head(experiment, scale, traffic, policy, seed),
         cfg.max_batch,
         cfg.max_linger,
         cfg.queue_depth,
+        deadline_knobs,
         sweeps_to_json(sweeps)
     )
 }
@@ -514,53 +513,11 @@ pub fn slo_to_json(
     seed: u64,
 ) -> String {
     let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+    let traffic = Traffic::Stream { bursty };
     format!(
-        concat!(
-            "{{\"experiment\":\"serve_slo_search\",\"scale\":{},",
-            "\"arrival\":{},\"policy\":{},\"seed\":{},\"channels\":{},",
-            "\"requests\":{},\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(arrival_name(bursty)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
+        "{},\"archs\":[{}]}}",
+        document_head("serve_slo_search", scale, traffic, policy, seed),
         archs.join(",")
-    )
-}
-
-/// The whole multi-tenant sweep as one JSON document (deterministic bytes
-/// for a given input — CI byte-compares two runs).
-pub fn tenant_sweep_to_json(
-    sweeps: &[ArchSweep],
-    scale: Scale,
-    mix: &TenantMix,
-    policy: QueuePolicy,
-    seed: u64,
-) -> String {
-    let cfg = tenant_batcher_config(policy);
-    format!(
-        concat!(
-            "{{\"experiment\":\"serve_tenant_sweep\",\"scale\":{},",
-            "\"policy\":{},\"seed\":{},\"channels\":{},\"requests\":{},",
-            "\"tenant_classes\":{},",
-            "\"batcher\":{{\"max_batch\":{},\"max_linger_cycles\":{},",
-            "\"queue_depth\":{},\"shed_expired\":{},\"adaptive_linger\":{}}},",
-            "\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        mix_to_json(mix),
-        cfg.max_batch,
-        cfg.max_linger,
-        cfg.queue_depth,
-        cfg.shed_expired,
-        cfg.adaptive_linger,
-        sweeps_to_json(sweeps)
     )
 }
 
@@ -574,18 +531,10 @@ pub fn tenant_slo_to_json(
     seed: u64,
 ) -> String {
     let archs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+    let traffic = Traffic::Tenants(mix);
     format!(
-        concat!(
-            "{{\"experiment\":\"serve_tenant_slo_search\",\"scale\":{},",
-            "\"policy\":{},\"seed\":{},\"channels\":{},\"requests\":{},",
-            "\"tenant_classes\":{},\"archs\":[{}]}}"
-        ),
-        json_string(scale_name(scale)),
-        json_string(policy.kind()),
-        seed,
-        CHANNELS,
-        requests_for(scale),
-        mix_to_json(mix),
+        "{},\"archs\":[{}]}}",
+        document_head("serve_tenant_slo_search", scale, traffic, policy, seed),
         archs.join(",")
     )
 }
@@ -654,8 +603,9 @@ pub struct TracedPoint {
 
 /// Runs one traced serving point for a single architecture at
 /// `load × capacity`: the same workload, channel plan, and batcher as the
-/// sweeps ([`tenant_batcher_config`] when `mix` is given, otherwise
-/// [`batcher_config`]), but through the observed simulation entry points,
+/// sweeps (the [`Traffic::Tenants`] of `mix` when given, otherwise a
+/// [`Traffic::Stream`] shaped by `bursty`), but through the observed
+/// simulation entry points,
 /// yielding a request-to-DRAM-command timeline alongside the report.
 /// `dram_trace=false` keeps the request/batch timeline but skips the
 /// per-command bank tracks (and re-running each batch traced).
@@ -678,11 +628,7 @@ pub fn traced_point_with(
     dram_trace: bool,
     opts: TraceOptions,
 ) -> std::io::Result<TracedPoint> {
-    let cfg = match mix {
-        Some(_) => tenant_batcher_config(policy),
-        None => batcher_config(policy),
-    };
-    let h = Harness::new(scale, cfg, seed);
+    let h = Harness::new(scale, Traffic::of(mix, bursty), policy, seed);
     let (mut sessions, capacity) = h.open(arch);
     let qps = capacity * load;
 
@@ -697,36 +643,7 @@ pub fn traced_point_with(
     if !opts.buffered {
         obs.unbuffer();
     }
-    let (trace, plan) = (&h.trace, &h.plan);
-    let report = match mix {
-        Some(m) => {
-            let requests = h.requests(m, qps);
-            simulate_tenant_sessions_obs(
-                arch,
-                trace,
-                plan,
-                &requests,
-                m,
-                cfg,
-                h.cps,
-                &mut sessions,
-                &mut obs,
-            )
-        }
-        None => {
-            let arrivals = h.arrivals(qps, bursty);
-            simulate_sessions_obs(
-                arch,
-                trace,
-                plan,
-                &arrivals,
-                cfg,
-                h.cps,
-                &mut sessions,
-                &mut obs,
-            )
-        }
-    };
+    let report = h.serve(arch, qps, &mut sessions, Some(&mut obs));
     obs.finish()?;
     let obs_report = obs.obs_report(&report);
     let perfetto = opts.buffered.then(|| obs.chrome_trace_string());
@@ -756,10 +673,6 @@ pub fn traced_point_to_json(
     policy: QueuePolicy,
     seed: u64,
 ) -> String {
-    let arrival = match mix {
-        Some(m) => format!("\"tenant_classes\":{}", mix_to_json(m)),
-        None => format!("\"arrival\":{}", json_string(arrival_name(bursty))),
-    };
     format!(
         concat!(
             "{{\"experiment\":\"serve_trace_point\",\"scale\":{},",
@@ -770,7 +683,7 @@ pub fn traced_point_to_json(
         ),
         json_string(scale_name(scale)),
         json_string(&point.arch),
-        arrival,
+        Traffic::of(mix, bursty).json_field(),
         json_string(policy.kind()),
         seed,
         CHANNELS,
@@ -789,6 +702,8 @@ mod tests {
     use super::*;
     use recross_serve::{Priority, TenantClass, TenantProcess};
 
+    const POISSON: Traffic<'static> = Traffic::Stream { bursty: false };
+
     fn test_mix() -> TenantMix {
         TenantMix::new(vec![
             TenantClass::new("rt", 0.7, TenantProcess::Poisson, 200.0, Priority::High),
@@ -805,8 +720,14 @@ mod tests {
         let (seed, mix) = (0x0D3, test_mix());
         let order = ["CPU", "ReCross"];
         for sweeps in [
-            qps_sweep_at(Scale::Tiny, &[0.5], false, QueuePolicy::Fifo, seed),
-            tenant_sweep_at(Scale::Tiny, &mix, &[0.5], QueuePolicy::Edf, seed),
+            sweep(Scale::Tiny, POISSON, &[0.5], QueuePolicy::Fifo, seed),
+            sweep(
+                Scale::Tiny,
+                Traffic::Tenants(&mix),
+                &[0.5],
+                QueuePolicy::Edf,
+                seed,
+            ),
         ] {
             let archs: Vec<&str> = sweeps.iter().map(|s| s.arch.as_str()).collect();
             assert_eq!(archs, order);
@@ -819,7 +740,7 @@ mod tests {
         let archs: Vec<&str> = slo.iter().map(|r| r.arch.as_str()).collect();
         assert_eq!(archs, order);
         assert!(slo[0].max_qps < slo[1].max_qps);
-        let tenant = tenant_slo_search_at(Scale::Tiny, &mix, QueuePolicy::Edf, seed, 2);
+        let tenant = tenant_slo_search(Scale::Tiny, &mix, QueuePolicy::Edf, seed, 2);
         let archs: Vec<&str> = tenant.iter().map(|r| r.arch.as_str()).collect();
         assert_eq!(archs, order);
         assert!(tenant[0].max_qps < tenant[1].max_qps);
@@ -828,7 +749,13 @@ mod tests {
     #[test]
     fn sweep_sheds_only_past_saturation() {
         let seed = 0x5E21;
-        let sweeps = qps_sweep(Scale::Tiny, false, QueuePolicy::Fifo, seed);
+        let sweeps = sweep(
+            Scale::Tiny,
+            POISSON,
+            SWEEP_FRACTIONS,
+            QueuePolicy::Fifo,
+            seed,
+        );
         assert_eq!(sweeps.len(), 2);
         for s in &sweeps {
             assert!(s.capacity_qps > 0.0, "{}: positive capacity", s.arch);
@@ -860,18 +787,22 @@ mod tests {
     fn sweep_is_byte_identical_across_reruns() {
         let seed = 0x5E22;
         let frac = [0.4];
-        let a = qps_sweep_at(Scale::Tiny, &frac, false, QueuePolicy::Fifo, seed);
-        let b = qps_sweep_at(Scale::Tiny, &frac, false, QueuePolicy::Fifo, seed);
+        let a = sweep(Scale::Tiny, POISSON, &frac, QueuePolicy::Fifo, seed);
+        let b = sweep(Scale::Tiny, POISSON, &frac, QueuePolicy::Fifo, seed);
         assert_eq!(
-            sweep_to_json(&a, Scale::Tiny, false, QueuePolicy::Fifo, seed),
-            sweep_to_json(&b, Scale::Tiny, false, QueuePolicy::Fifo, seed)
+            sweep_to_json(&a, Scale::Tiny, POISSON, QueuePolicy::Fifo, seed),
+            sweep_to_json(&b, Scale::Tiny, POISSON, QueuePolicy::Fifo, seed)
         );
     }
 
     #[test]
     fn sjf_and_bursty_variants_run() {
-        let sweeps = qps_sweep_at(Scale::Tiny, &[0.8], true, QueuePolicy::ShortestJobFirst, 3);
-        let json = sweep_to_json(&sweeps, Scale::Tiny, true, QueuePolicy::ShortestJobFirst, 3);
+        let (bursty, sjf) = (
+            Traffic::Stream { bursty: true },
+            QueuePolicy::ShortestJobFirst,
+        );
+        let sweeps = sweep(Scale::Tiny, bursty, &[0.8], sjf, 3);
+        let json = sweep_to_json(&sweeps, Scale::Tiny, bursty, sjf, 3);
         assert!(json.contains("\"arrival\":\"bursty\""));
         assert!(json.contains("\"policy\":\"sjf\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -925,7 +856,8 @@ mod tests {
     #[test]
     fn tenant_sweep_reports_all_classes_and_balances() {
         let mix = test_mix();
-        let sweeps = tenant_sweep_at(Scale::Tiny, &mix, &[0.5, 2.0], QueuePolicy::Edf, 0x77);
+        let tenants = Traffic::Tenants(&mix);
+        let sweeps = sweep(Scale::Tiny, tenants, &[0.5, 2.0], QueuePolicy::Edf, 0x77);
         assert_eq!(sweeps.len(), 2);
         for s in &sweeps {
             for (_, r) in &s.points {
@@ -951,8 +883,9 @@ mod tests {
     fn tenant_sweep_is_byte_identical_across_reruns() {
         let mix = test_mix();
         let go = || {
-            let s = tenant_sweep_at(Scale::Tiny, &mix, &[0.8], QueuePolicy::Edf, 0x78);
-            tenant_sweep_to_json(&s, Scale::Tiny, &mix, QueuePolicy::Edf, 0x78)
+            let tenants = Traffic::Tenants(&mix);
+            let s = sweep(Scale::Tiny, tenants, &[0.8], QueuePolicy::Edf, 0x78);
+            sweep_to_json(&s, Scale::Tiny, tenants, QueuePolicy::Edf, 0x78)
         };
         let (a, b) = (go(), go());
         assert_eq!(a, b, "same seed, same bytes");
@@ -979,7 +912,7 @@ mod tests {
             TraceOptions::default(),
         )
         .expect("in-memory tracing cannot fail on IO");
-        let sweeps = qps_sweep_at(Scale::Tiny, &[load], false, QueuePolicy::Fifo, seed);
+        let sweeps = sweep(Scale::Tiny, POISSON, &[load], QueuePolicy::Fifo, seed);
         let plain = &sweeps[1]; // [CPU, ReCross]
         assert_eq!(plain.arch, "ReCross");
         assert_eq!(p.capacity_qps, plain.capacity_qps);
@@ -1093,10 +1026,10 @@ mod tests {
         // deadline, binds — so a positive aggregate rate exists.
         let mix = test_mix();
         let go = || {
-            let r = tenant_slo_search_at(Scale::Tiny, &mix, QueuePolicy::Edf, 0x79, 4);
+            let r = tenant_slo_search(Scale::Tiny, &mix, QueuePolicy::Edf, 0x79, 4);
             tenant_slo_to_json(&r, Scale::Tiny, &mix, QueuePolicy::Edf, 0x79)
         };
-        let reports = tenant_slo_search_at(Scale::Tiny, &mix, QueuePolicy::Edf, 0x79, 4);
+        let reports = tenant_slo_search(Scale::Tiny, &mix, QueuePolicy::Edf, 0x79, 4);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(

@@ -85,9 +85,6 @@ pub fn record_commands(
     trace: &[IssuedCommand],
     offset: Cycle,
 ) {
-    if !rec.is_enabled() {
-        return;
-    }
     let topo = cfg.topology;
     let t = cfg.timing;
     for ic in trace {

@@ -95,6 +95,25 @@ impl SessionStats {
     }
 }
 
+impl std::ops::AddAssign for SessionStats {
+    fn add_assign(&mut self, other: SessionStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+    }
+}
+
+/// Counter-wise total, e.g. over a run's channels or a search's probes.
+impl std::iter::Sum for SessionStats {
+    fn sum<I: Iterator<Item = SessionStats>>(stats: I) -> SessionStats {
+        let mut total = SessionStats::default();
+        for s in stats {
+            total += s;
+        }
+        total
+    }
+}
+
 /// A prepared serving session for one accelerator and one table universe.
 ///
 /// Obtained from [`EmbeddingAccelerator::open_session`]. The session owns

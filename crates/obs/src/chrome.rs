@@ -185,12 +185,6 @@ impl<W: Write> EventSink for ChromeStreamSink<W> {
                     "{{\"name\":{name},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur_us:.3}}}"
                 )
             }
-            EventKind::Begin => format!(
-                "{{\"name\":{name},\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"
-            ),
-            EventKind::End => {
-                format!("{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}")
-            }
             EventKind::Instant => format!(
                 "{{\"name\":{name},\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"
             ),
@@ -283,8 +277,7 @@ mod tests {
         let ch = rec.track("channel 0", None);
         let server = rec.track("server", Some(ch));
         rec.span(lane, "request", 0, 240);
-        rec.span_begin(server, "batch 0", 40);
-        rec.span_end(server, 200);
+        rec.span(server, "batch 0", 40, 200);
         rec.instant(lane, "dispatch ch0", 40);
         rec.counter(ch, "queue depth", 0, 1.0);
         rec.counter(ch, "queue depth", 40, 0.0);
@@ -309,9 +302,7 @@ mod tests {
         rec.validate().unwrap();
         let json = chrome_trace_string(&rec, 0.4167);
         assert!(json.starts_with("[\n") && json.ends_with("\n]"));
-        assert_eq!(count(&json, "\"ph\":\"X\""), 1);
-        assert_eq!(count(&json, "\"ph\":\"B\""), 1);
-        assert_eq!(count(&json, "\"ph\":\"E\""), 1);
+        assert_eq!(count(&json, "\"ph\":\"X\""), 2);
         assert_eq!(count(&json, "\"ph\":\"i\""), 1);
         assert_eq!(count(&json, "\"ph\":\"C\""), 2);
         // One thread_name per track, one process_name per root.
@@ -353,7 +344,8 @@ mod tests {
         // Streaming path: no memory sink, events rendered as they land,
         // tiny chunk so multiple flushes actually happen.
         let out = SharedWriter::new();
-        let mut rec = Recorder::unbuffered();
+        let mut rec = Recorder::new();
+        rec.unbuffer();
         rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
             out.clone(),
             0.4167,
@@ -368,7 +360,8 @@ mod tests {
     #[test]
     fn streaming_heap_stays_bounded() {
         let out = SharedWriter::new();
-        let mut rec = Recorder::unbuffered();
+        let mut rec = Recorder::new();
+        rec.unbuffer();
         rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
             out.clone(),
             1.0,

@@ -5,11 +5,10 @@
 //! the cycle-level DRAM controller — emits its events into one
 //! [`Recorder`]: named **tracks** arranged in a forest (tenant → request
 //! lane, channel → server / queue depth / DRAM banks), and on each track
-//! **spans** (complete or begin/end pairs), **instants**, and **counter**
-//! samples, all timestamped in integer controller cycles. The recorder is
-//! append-only and allocation-free when disabled (see
-//! [`Recorder::disabled`]), so the hot simulation path pays nothing when
-//! tracing is off.
+//! complete **spans**, **instants**, and **counter** samples, all
+//! timestamped in integer controller cycles. The recorder is append-only.
+//! An untraced run builds no recorder at all, so the simulation pays for
+//! tracing only when it is on.
 //!
 //! The recorder is a *producer*: everything downstream is an
 //! [`EventSink`] attached to it (see the [`mod@sink`] module):
@@ -59,7 +58,8 @@
 //! use recross_obs::{ChromeStreamSink, Recorder, SharedWriter};
 //!
 //! let out = SharedWriter::new();
-//! let mut rec = Recorder::unbuffered();
+//! let mut rec = Recorder::new();
+//! rec.unbuffer();
 //! rec.attach(Box::new(ChromeStreamSink::new(out.clone(), 0.4167)));
 //! let sys = rec.track("system", None);
 //! rec.span(sys, "job", 100, 250);

@@ -24,11 +24,6 @@ pub enum EventKind {
         /// Duration in cycles (may be zero).
         dur: u64,
     },
-    /// Opens a span (closed by the next matching [`EventKind::End`] on the
-    /// same track — begin/end pairs nest like a stack per track).
-    Begin,
-    /// Closes the innermost open span on the track.
-    End,
     /// A point event.
     Instant,
     /// A counter (gauge) sample.
@@ -65,18 +60,8 @@ struct Track {
 /// out to its attached [`EventSink`]s. [`Recorder::new`] installs a
 /// [`MemorySink`] so the classic in-memory workflow (`events()`,
 /// `validate()`, export-after-the-fact) works unchanged;
-/// [`Recorder::unbuffered`] starts with no sinks at all for
-/// bounded-memory streaming runs.
-///
-/// All mutating methods are no-ops on a recorder built with
-/// [`Recorder::disabled`]; none of them allocate in that state — even
-/// [`Recorder::attach`] is a no-op, so a disabled recorder with sinks
-/// "attached" still holds zero heap (checked by
-/// [`Recorder::heap_capacity`], which stays `0`). Hot paths that would
-/// allocate just to *format* an event name should additionally guard on
-/// [`Recorder::is_enabled`].
+/// [`Recorder::unbuffer`] drops it for bounded-memory streaming runs.
 pub struct Recorder {
-    enabled: bool,
     strings: Vec<String>,
     lookup: HashMap<String, StrId>,
     tracks: Vec<Track>,
@@ -86,7 +71,6 @@ pub struct Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.enabled)
             .field("strings", &self.strings.len())
             .field("tracks", &self.tracks.len())
             .field(
@@ -104,44 +88,15 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// An enabled, empty recorder with the default in-memory sink (every
-    /// event retained; `events()` and `validate()` work).
+    /// An empty recorder with the default in-memory sink (every event
+    /// retained; `events()` and `validate()` work).
     pub fn new() -> Self {
-        let mut rec = Self::unbuffered();
-        rec.sinks.push(Box::new(MemorySink::new()));
-        rec
-    }
-
-    /// An enabled recorder with *no* sinks: events vanish until something
-    /// is [`attach`](Recorder::attach)ed. This is the streaming
-    /// configuration — attach a
-    /// [`ChromeStreamSink`](crate::ChromeStreamSink) (and/or an
-    /// [`Aggregator`](crate::agg::Aggregator)) and the resident footprint
-    /// stays bounded by the interning/track tables regardless of run
-    /// length.
-    pub fn unbuffered() -> Self {
         Self {
-            enabled: true,
             strings: Vec::new(),
             lookup: HashMap::new(),
             tracks: Vec::new(),
-            sinks: Vec::new(),
+            sinks: vec![Box::new(MemorySink::new())],
         }
-    }
-
-    /// The no-op sink: every recording method returns immediately without
-    /// touching the heap, so instrumented code costs nothing when tracing
-    /// is off.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::unbuffered()
-        }
-    }
-
-    /// Whether this recorder records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Attaches a sink. The sink is first caught up on everything already
@@ -149,20 +104,18 @@ impl Recorder {
     /// [`MemorySink`] retained (events recorded before attach on an
     /// unbuffered recorder are gone and stay gone) — then receives the
     /// live stream.
-    ///
-    /// No-op on a disabled recorder: the box is dropped without
-    /// allocating, preserving the zero-allocation guarantee.
     pub fn attach(&mut self, mut sink: Box<dyn EventSink>) {
-        if !self.enabled {
-            return;
-        }
         self.replay(&mut *sink);
         self.sinks.push(sink);
     }
 
     /// Detaches every [`MemorySink`], dropping the retained events. After
     /// this, `events()` is empty and stays empty — use it to convert a
-    /// recorder to streaming-only *before* recording starts.
+    /// recorder to streaming-only *before* recording starts: attach a
+    /// [`ChromeStreamSink`](crate::ChromeStreamSink) (and/or an
+    /// [`Aggregator`](crate::agg::Aggregator)) and the resident footprint
+    /// stays bounded by the interning/track tables regardless of run
+    /// length.
     pub fn unbuffer(&mut self) {
         self.sinks.retain(|s| s.as_memory().is_none());
     }
@@ -222,10 +175,9 @@ impl Recorder {
     }
 
     /// Total heap capacity (in entries) held by the recorder's internal
-    /// storage and its sinks — `0` for a disabled recorder no matter how
-    /// many events (or sinks) were offered to it (the zero-allocation
-    /// guarantee). For a streaming recorder this is the bounded resident
-    /// footprint: interning + track tables plus each sink's fixed chunk.
+    /// storage and its sinks. For a streaming recorder this is the bounded
+    /// resident footprint: interning + track tables plus each sink's fixed
+    /// chunk.
     pub fn heap_capacity(&self) -> usize {
         self.strings.capacity()
             + self.lookup.capacity()
@@ -237,9 +189,6 @@ impl Recorder {
     /// Interns `s`, returning a stable handle; repeated interning of the
     /// same string returns the same handle without allocating.
     pub fn intern(&mut self, s: &str) -> StrId {
-        if !self.enabled {
-            return StrId(0);
-        }
         if let Some(&id) = self.lookup.get(s) {
             return id;
         }
@@ -267,11 +216,8 @@ impl Recorder {
     ///
     /// # Panics
     ///
-    /// Panics (when enabled) if `parent` is not a track of this recorder.
+    /// Panics if `parent` is not a track of this recorder.
     pub fn track(&mut self, name: &str, parent: Option<TrackId>) -> TrackId {
-        if !self.enabled {
-            return TrackId(0);
-        }
         if let Some(p) = parent {
             assert!(
                 (p.0 as usize) < self.tracks.len(),
@@ -317,48 +263,21 @@ impl Recorder {
     ///
     /// # Panics
     ///
-    /// Panics (when enabled) if `end < start`.
+    /// Panics if `end < start`.
     pub fn span(&mut self, track: TrackId, name: &str, start: u64, end: u64) {
-        if !self.enabled {
-            return;
-        }
         assert!(end >= start, "span must not end before it starts");
         let name = self.intern(name);
         self.push(track, name, start, EventKind::Span { dur: end - start });
     }
 
-    /// Opens a span on `track`; close it with [`Recorder::span_end`].
-    pub fn span_begin(&mut self, track: TrackId, name: &str, ts: u64) {
-        if !self.enabled {
-            return;
-        }
-        let name = self.intern(name);
-        self.push(track, name, ts, EventKind::Begin);
-    }
-
-    /// Closes the innermost open span on `track`.
-    pub fn span_end(&mut self, track: TrackId, ts: u64) {
-        if !self.enabled {
-            return;
-        }
-        let name = self.intern("");
-        self.push(track, name, ts, EventKind::End);
-    }
-
     /// Records a point event.
     pub fn instant(&mut self, track: TrackId, name: &str, ts: u64) {
-        if !self.enabled {
-            return;
-        }
         let name = self.intern(name);
         self.push(track, name, ts, EventKind::Instant);
     }
 
     /// Records a counter (gauge) sample.
     pub fn counter(&mut self, track: TrackId, name: &str, ts: u64, value: f64) {
-        if !self.enabled {
-            return;
-        }
         let name = self.intern(name);
         self.push(track, name, ts, EventKind::Counter { value });
     }
@@ -375,13 +294,11 @@ impl Recorder {
     }
 
     /// Checks the stream is well formed: every event sits on a known
-    /// track, per-track timestamps are nondecreasing in recording order,
-    /// and every [`EventKind::Begin`] has a matching [`EventKind::End`]
-    /// (balanced, stack-nested, per track). Returns the first violation.
-    /// Only sees what a [`MemorySink`] retained (nothing, if unbuffered).
+    /// track, and per-track timestamps are nondecreasing in recording
+    /// order. Returns the first violation. Only sees what a
+    /// [`MemorySink`] retained (nothing, if unbuffered).
     pub fn validate(&self) -> Result<(), String> {
         let mut last_ts: Vec<Option<u64>> = vec![None; self.tracks.len()];
-        let mut open: Vec<u32> = vec![0; self.tracks.len()];
         for (i, e) in self.events().iter().enumerate() {
             let t = e.track.0 as usize;
             if t >= self.tracks.len() {
@@ -397,27 +314,6 @@ impl Recorder {
                 }
             }
             last_ts[t] = Some(e.ts);
-            match e.kind {
-                EventKind::Begin => open[t] += 1,
-                EventKind::End => {
-                    if open[t] == 0 {
-                        return Err(format!(
-                            "event {i} on track '{}' closes a span that was never opened",
-                            self.track_name(e.track)
-                        ));
-                    }
-                    open[t] -= 1;
-                }
-                EventKind::Span { .. } | EventKind::Instant | EventKind::Counter { .. } => {}
-            }
-        }
-        for (t, &n) in open.iter().enumerate() {
-            if n > 0 {
-                return Err(format!(
-                    "track '{}' ends with {n} unclosed span(s)",
-                    self.track_name(TrackId(t as u32))
-                ));
-            }
         }
         Ok(())
     }
@@ -456,34 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_never_allocates_even_with_sinks_attached() {
-        let mut rec = Recorder::disabled();
-        assert!(!rec.is_enabled());
-        // Attach is a no-op while disabled: the boxes are dropped, the
-        // sink list never allocates.
-        rec.attach(Box::new(CountSink::default()));
-        rec.attach(Box::new(MemorySink::new()));
-        let t = rec.track("root", None);
-        let c = rec.track("child", Some(t));
-        for i in 0..10_000u64 {
-            rec.span(c, "work", i, i + 1);
-            rec.span_begin(c, "outer", i);
-            rec.span_end(c, i + 1);
-            rec.instant(t, "tick", i);
-            rec.counter(t, "depth", i, i as f64);
-            rec.intern("some string");
-        }
-        assert_eq!(rec.events().len(), 0);
-        assert_eq!(rec.track_count(), 0);
-        assert!(rec.sink_stats().is_empty());
-        assert_eq!(
-            rec.heap_capacity(),
-            0,
-            "disabled recorder must not touch the heap"
-        );
-    }
-
-    #[test]
     fn attach_catches_a_sink_up_on_retained_state() {
         let mut rec = Recorder::new();
         let t = rec.track("root", None);
@@ -504,12 +372,14 @@ mod tests {
 
     #[test]
     fn unbuffered_recorder_retains_tables_but_no_events() {
-        let mut rec = Recorder::unbuffered();
+        let mut rec = Recorder::new();
+        rec.unbuffer();
         let t = rec.track("root", None);
         for i in 0..1_000u64 {
             rec.instant(t, "tick", i);
         }
         assert_eq!(rec.events().len(), 0, "no memory sink, nothing retained");
+        assert!(rec.sink_stats().is_empty());
         assert_eq!(rec.track_count(), 1);
         let tick = rec.intern("tick");
         assert_eq!(rec.string(tick), "tick");
@@ -548,31 +418,12 @@ mod tests {
         let mut rec = Recorder::new();
         let root = rec.track("root", None);
         let child = rec.track("child", Some(root));
-        rec.span_begin(child, "outer", 10);
-        rec.span_begin(child, "inner", 12);
-        rec.span_end(child, 20);
-        rec.span_end(child, 30);
+        rec.span(child, "outer", 10, 30);
+        rec.span(child, "inner", 12, 20);
+        rec.instant(child, "tick", 30);
         rec.span(root, "flat", 0, 100);
         rec.counter(root, "depth", 50, 2.0);
         assert_eq!(rec.validate(), Ok(()));
-    }
-
-    #[test]
-    fn validate_rejects_unclosed_spans() {
-        let mut rec = Recorder::new();
-        let t = rec.track("t", None);
-        rec.span_begin(t, "open", 1);
-        let err = rec.validate().unwrap_err();
-        assert!(err.contains("unclosed"), "{err}");
-    }
-
-    #[test]
-    fn validate_rejects_stray_end() {
-        let mut rec = Recorder::new();
-        let t = rec.track("t", None);
-        rec.span_end(t, 1);
-        let err = rec.validate().unwrap_err();
-        assert!(err.contains("never opened"), "{err}");
     }
 
     #[test]

@@ -259,7 +259,8 @@ mod tests {
     #[test]
     fn shared_sink_handle_sees_the_stream() {
         let memory = Rc::new(RefCell::new(MemorySink::new()));
-        let mut rec = Recorder::unbuffered();
+        let mut rec = Recorder::new();
+        rec.unbuffer();
         rec.attach(Box::new(Rc::clone(&memory)));
         let t = rec.track("t", None);
         rec.instant(t, "x", 1);

@@ -45,15 +45,15 @@ use std::rc::Rc;
 use recross_dram::attribution::AttributionBuilder;
 use recross_dram::traceviz::{dram_tracks, record_commands, DramTracks};
 use recross_dram::{CommandAttribution, Cycle, DramConfig, IssuedCommand};
-use recross_obs::agg::{parse_fate, Aggregates, Aggregator};
+use recross_obs::agg::{Aggregates, Aggregator};
 use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, SinkStats, TrackId};
 
 use crate::report::ServeReport;
 use crate::LatencyHistogram;
 
-/// Request-fate tallies accumulated while synthesizing request lanes;
-/// one count per lifecycle outcome, plus the span total the lifecycle
-/// test checks against the [`ServeReport`] counters.
+/// Request-fate tallies of the recorded request lanes, summed over the
+/// tenants; one count per lifecycle outcome, plus the span total the
+/// lifecycle test checks against the [`ServeReport`] counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LifecycleTotals {
     /// Requests that completed by their deadline.
@@ -117,7 +117,6 @@ pub struct ServeObs {
     groups: Vec<LaneGroup>,
     group_names: Vec<String>,
     channels: Vec<ChannelTracks>,
-    totals: LifecycleTotals,
     tenant_stats: Vec<TenantStats>,
     agg: Option<Rc<RefCell<Aggregator>>>,
 }
@@ -136,7 +135,6 @@ impl ServeObs {
             groups: Vec::new(),
             group_names: Vec::new(),
             channels: Vec::new(),
-            totals: LifecycleTotals::default(),
             tenant_stats: Vec::new(),
             agg: None,
         }
@@ -218,8 +216,16 @@ impl ServeObs {
 
     /// Request-fate tallies from the recorded lifecycle spans; all zero
     /// until a simulation has run.
-    pub fn lifecycle_totals(&self) -> &LifecycleTotals {
-        &self.totals
+    pub fn lifecycle_totals(&self) -> LifecycleTotals {
+        let mut t = LifecycleTotals::default();
+        for s in &self.tenant_stats {
+            t.completed += s.completed;
+            t.late += s.late;
+            t.queue_shed += s.queue_shed;
+            t.deadline_shed += s.deadline_shed;
+        }
+        t.spans = t.completed + t.late + t.queue_shed + t.deadline_shed;
+        t
     }
 
     /// Writes the unified Perfetto/Chrome-trace timeline (open with
@@ -281,14 +287,15 @@ impl ServeObs {
                 time_in_service: s.service.clone(),
             })
             .collect();
+        let totals = self.lifecycle_totals();
         ObsReport {
             name: report.name.clone(),
             requests: report.requests,
-            completed: self.totals.completed,
-            late: self.totals.late,
-            queue_shed: self.totals.queue_shed,
-            deadline_shed: self.totals.deadline_shed,
-            lifecycle_spans: self.totals.spans,
+            completed: totals.completed,
+            late: totals.late,
+            queue_shed: totals.queue_shed,
+            deadline_shed: totals.deadline_shed,
+            lifecycle_spans: totals.spans,
             makespan_cycles: report.makespan_cycles,
             heap_capacity: self.rec.heap_capacity(),
             sinks: self.rec.sink_stats(),
@@ -369,13 +376,15 @@ impl ServeObs {
         }
     }
 
-    /// Records one request's lifecycle span on the first free lane of its
-    /// tenant group (creating a lane when all are occupied), plus sorted
-    /// per-channel instants, and tallies the outcome.
+    /// Records request `id`'s lifecycle span, labeled with its fate, on
+    /// the first free lane of its tenant group (creating a lane when all
+    /// are occupied), plus sorted per-channel instants, and tallies the
+    /// fate.
     pub(crate) fn request_span(
         &mut self,
         group: usize,
-        name: &str,
+        id: usize,
+        fate: RequestFate,
         start: Cycle,
         end: Cycle,
         instants: &[(Cycle, String)],
@@ -393,49 +402,36 @@ impl ServeObs {
                 track
             }
         };
-        self.rec.span(lane, name, start, end);
+        self.rec
+            .span(lane, &format!("req#{id} {}", fate.label()), start, end);
         debug_assert!(instants.windows(2).all(|w| w[0].0 <= w[1].0));
         for (t, label) in instants {
             self.rec.instant(lane, label, *t);
         }
-        self.totals.spans += 1;
         // Per-tenant accounting, derived from exactly the evidence the
-        // trace records (fate suffix + dispatch instants) so the report's
+        // trace records (fate label + dispatch instants) so the report's
         // tenant block and `obs::agg`'s streamed aggregates agree by
         // construction.
-        if let Some(fate) = parse_fate(name) {
-            let stats = &mut self.tenant_stats[group];
-            match fate {
-                "completed" => stats.completed += 1,
-                "late" => stats.late += 1,
-                "queue-shed" => stats.queue_shed += 1,
-                _ => stats.deadline_shed += 1,
-            }
-            let mut first = None;
-            let mut last = None;
-            for (t, label) in instants {
-                if label.starts_with("dispatch") {
-                    first.get_or_insert(*t);
-                    last = Some(*t);
-                }
-            }
-            if let Some(fd) = first {
-                stats.queue.record(fd.saturating_sub(start));
-            }
-            if let Some(ld) = last {
-                stats.service.record(end.saturating_sub(ld));
+        let stats = &mut self.tenant_stats[group];
+        match fate {
+            RequestFate::Completed => stats.completed += 1,
+            RequestFate::Late => stats.late += 1,
+            RequestFate::QueueShed => stats.queue_shed += 1,
+            RequestFate::DeadlineShed => stats.deadline_shed += 1,
+        }
+        let mut first = None;
+        let mut last = None;
+        for (t, label) in instants {
+            if label.starts_with("dispatch") {
+                first.get_or_insert(*t);
+                last = Some(*t);
             }
         }
-    }
-
-    /// Tallies one resolved request (called alongside
-    /// [`request_span`](Self::request_span)).
-    pub(crate) fn tally(&mut self, fate: RequestFate) {
-        match fate {
-            RequestFate::Completed => self.totals.completed += 1,
-            RequestFate::Late => self.totals.late += 1,
-            RequestFate::QueueShed => self.totals.queue_shed += 1,
-            RequestFate::DeadlineShed => self.totals.deadline_shed += 1,
+        if let Some(fd) = first {
+            stats.queue.record(fd.saturating_sub(start));
+        }
+        if let Some(ld) = last {
+            stats.service.record(end.saturating_sub(ld));
         }
     }
 }
@@ -455,7 +451,7 @@ pub(crate) enum RequestFate {
 
 impl RequestFate {
     /// Lifecycle-span label.
-    pub(crate) fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             RequestFate::Completed => "completed",
             RequestFate::Late => "late",
@@ -692,15 +688,10 @@ mod tests {
         obs.begin(1, &["requests".to_string()]);
         // Two overlapping requests need two lanes; a third starting after
         // the first ends reuses lane 0.
-        obs.request_span(0, "req#0 completed", 0, 100, &[]);
-        obs.request_span(
-            0,
-            "req#1 completed",
-            50,
-            150,
-            &[(60, "dispatch ch0".into())],
-        );
-        obs.request_span(0, "req#2 completed", 120, 200, &[]);
+        let done = RequestFate::Completed;
+        obs.request_span(0, 0, done, 0, 100, &[]);
+        obs.request_span(0, 1, done, 50, 150, &[(60, "dispatch ch0".into())]);
+        obs.request_span(0, 2, done, 120, 200, &[]);
         assert_eq!(obs.groups[0].lanes.len(), 2);
         assert_eq!(obs.lifecycle_totals().spans, 3);
         assert_eq!(obs.recorder().validate(), Ok(()));
@@ -766,10 +757,9 @@ mod tests {
         obs.begin(1, &["rt".to_string(), "batch".to_string()]);
         // Tenant 0: dispatched once at 40, completes at 100 → queue 40,
         // service 60. Tenant 1: shed without ever dispatching.
-        obs.request_span(0, "req#0 completed", 0, 100, &[(40, "dispatch ch0".into())]);
-        obs.request_span(1, "req#1 queue-shed", 10, 10, &[]);
-        obs.tally(RequestFate::Completed);
-        obs.tally(RequestFate::QueueShed);
+        let dispatch = [(40, "dispatch ch0".to_string())];
+        obs.request_span(0, 0, RequestFate::Completed, 0, 100, &dispatch);
+        obs.request_span(1, 1, RequestFate::QueueShed, 10, 10, &[]);
         let report = obs.obs_report(&sample_report(obs.channels.len()));
         assert_eq!(report.tenants.len(), 2);
         let rt = &report.tenants[0];
@@ -796,7 +786,8 @@ mod tests {
         obs.unbuffer();
         obs.enable_agg();
         obs.begin(1, &["requests".to_string()]);
-        obs.request_span(0, "req#0 completed", 0, 100, &[(40, "dispatch ch0".into())]);
+        let dispatch = [(40, "dispatch ch0".to_string())];
+        obs.request_span(0, 0, RequestFate::Completed, 0, 100, &dispatch);
         obs.finish().unwrap();
         let bytes = out.contents();
         assert!(bytes.starts_with("[\n"), "not a chrome trace: {bytes}");

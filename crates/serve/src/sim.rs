@@ -213,6 +213,23 @@ fn simulate_channel(
     }
 }
 
+/// Request `i`'s channel parts merged: `Ok` with the latest completion
+/// (its `arrival` when no channel held a part), or `Err` with how it was
+/// dropped; a queue drop on any channel outranks a deadline drop on
+/// another.
+fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle, RequestFate> {
+    let mut done = Ok(arrival);
+    for o in outcomes {
+        done = match (done, o.completions[i]) {
+            (Ok(d), Some(c)) => Ok(d.max(c)),
+            (Err(RequestFate::QueueShed), _) | (_, Some(_)) => done,
+            (_, None) if o.expired_flags[i] => Err(RequestFate::DeadlineShed),
+            (_, None) => Err(RequestFate::QueueShed),
+        };
+    }
+    done
+}
+
 /// Replays the per-request outcomes into `obs` as lifecycle spans: one
 /// span per request on its tenant group's lanes, from arrival to the
 /// request's last resolution event, labeled with its fate and annotated
@@ -224,51 +241,36 @@ fn record_lifecycles(
     outcomes: &[ChannelOutcome],
 ) {
     for (i, req) in requests.iter().enumerate() {
-        // Same merge rule as `ServeReport::from_outcomes`: done = max
-        // completion; a queue drop on any channel outranks a deadline
-        // drop on another.
-        let mut done: Option<Cycle> = Some(req.arrival);
-        let mut queue_shed = false;
         let mut end = req.arrival;
         let mut instants: Vec<(Cycle, String)> = Vec::new();
         for (ch, o) in outcomes.iter().enumerate() {
             match o.completions[i] {
                 Some(c) => {
-                    done = done.map(|d| d.max(c));
                     end = end.max(c);
                     if let Some(td) = o.dispatched_at[i] {
                         instants.push((td, format!("dispatch ch{ch}")));
                     }
                 }
                 None => {
-                    done = None;
                     let t = o.dropped_at[i].unwrap_or(req.arrival);
                     end = end.max(t);
-                    if o.expired_flags[i] {
-                        instants.push((t, format!("deadline-shed ch{ch}")));
+                    let drop = if o.expired_flags[i] {
+                        "deadline-shed"
                     } else {
-                        queue_shed = true;
-                        instants.push((t, format!("queue-shed ch{ch}")));
-                    }
+                        "queue-shed"
+                    };
+                    instants.push((t, format!("{drop} ch{ch}")));
                 }
             }
         }
-        let fate = match done {
-            Some(d) if d <= req.deadline => RequestFate::Completed,
-            Some(_) => RequestFate::Late,
-            None if queue_shed => RequestFate::QueueShed,
-            None => RequestFate::DeadlineShed,
+        let fate = match merged(outcomes, i, req.arrival) {
+            Ok(d) if d <= req.deadline => RequestFate::Completed,
+            Ok(_) => RequestFate::Late,
+            Err(drop) => drop,
         };
         instants.sort_by_key(|&(t, _)| t);
         let group = if mix.is_some() { req.tenant } else { 0 };
-        obs.request_span(
-            group,
-            &format!("req#{i} {}", fate.label()),
-            req.arrival,
-            end,
-            &instants,
-        );
-        obs.tally(fate);
+        obs.request_span(group, i, fate, req.arrival, end, &instants);
     }
 }
 
@@ -552,27 +554,9 @@ impl ServeReport {
         let mut shed_requests = 0u64;
         let mut makespan: Cycle = requests.last().map(|r| r.arrival).unwrap_or(0);
         for (i, req) in requests.iter().enumerate() {
-            // Merge the channel parts: done = max completion; a queue drop
-            // on any channel outranks a deadline drop on another.
-            let mut done: Option<Cycle> = Some(req.arrival);
-            let mut queue_shed = false;
-            let mut deadline_shed = false;
-            for o in outcomes {
-                match o.completions[i] {
-                    Some(c) => done = done.map(|d| d.max(c)),
-                    None => {
-                        done = None;
-                        if o.expired_flags[i] {
-                            deadline_shed = true;
-                        } else {
-                            queue_shed = true;
-                        }
-                    }
-                }
-            }
             let tenant = tenants.get_mut(req.tenant);
-            match done {
-                Some(d) => {
+            match merged(outcomes, i, req.arrival) {
+                Ok(d) => {
                     let latency = d - req.arrival;
                     hist.record(latency);
                     makespan = makespan.max(d);
@@ -586,14 +570,13 @@ impl ServeReport {
                         }
                     }
                 }
-                None => {
+                Err(drop) => {
                     shed_requests += 1;
                     if let Some(t) = tenant {
                         t.requests += 1;
-                        if queue_shed {
+                        if drop == RequestFate::QueueShed {
                             t.queue_shed += 1;
                         } else {
-                            debug_assert!(deadline_shed);
                             t.deadline_shed += 1;
                         }
                     }
@@ -629,12 +612,6 @@ impl ServeReport {
                 }
             })
             .collect();
-        let mut service_cache = SessionStats::default();
-        for o in outcomes {
-            service_cache.hits += o.cache.hits;
-            service_cache.misses += o.cache.misses;
-            service_cache.evictions += o.cache.evictions;
-        }
         let arrival_span_s =
             requests.last().map(|r| r.arrival).unwrap_or(0) as f64 / cycles_per_sec;
         ServeReport {
@@ -651,7 +628,7 @@ impl ServeReport {
             latency: hist,
             depth_series,
             channels,
-            service_cache,
+            service_cache: outcomes.iter().map(|o| o.cache).sum(),
             tenants,
         }
     }

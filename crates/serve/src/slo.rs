@@ -65,7 +65,7 @@ pub struct SloReport {
 impl SloReport {
     /// Service-cache counters summed over all probes.
     pub fn cache_total(&self) -> SessionStats {
-        cache_sum(self.probes.iter().map(|p| &p.cache))
+        self.probes.iter().map(|p| p.cache).sum()
     }
 
     /// The report as a JSON object string (no trailing newline).
@@ -167,7 +167,7 @@ pub struct TenantSloReport {
 impl TenantSloReport {
     /// Service-cache counters summed over all probes.
     pub fn cache_total(&self) -> SessionStats {
-        cache_sum(self.probes.iter().map(|p| &p.cache))
+        self.probes.iter().map(|p| p.cache).sum()
     }
 
     /// The report as a JSON object string (no trailing newline).
@@ -224,16 +224,6 @@ impl TenantSloReport {
             probes.join(",")
         )
     }
-}
-
-fn cache_sum<'a>(stats: impl Iterator<Item = &'a SessionStats>) -> SessionStats {
-    let mut total = SessionStats::default();
-    for s in stats {
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.evictions += s.evictions;
-    }
-    total
 }
 
 /// Extracts the single-SLO verdict from one serving run.

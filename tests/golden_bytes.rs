@@ -22,7 +22,7 @@ use recross_bench::experiments::{
     instruction_transfer_ablation, run_all, training_updates,
 };
 use recross_bench::runtrace::closed_loop_trace_with;
-use recross_bench::serving::{self, TraceOptions};
+use recross_bench::serving::{self, TraceOptions, Traffic};
 use recross_bench::workloads::{dram, generator, Scale};
 use recross_nmp::{EmbeddingAccelerator, Fafnir, RunReport};
 use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
@@ -114,15 +114,17 @@ fn check(results: &[(&str, u64, u64)]) {
 
 #[test]
 fn sweep_documents_match_golden() {
-    let sweeps = serving::qps_sweep_at(Scale::Tiny, &[0.4, 2.0], false, QueuePolicy::Fifo, SEED);
-    let sweep = serving::sweep_to_json(&sweeps, Scale::Tiny, false, QueuePolicy::Fifo, SEED);
+    let poisson = Traffic::Stream { bursty: false };
+    let sweeps = serving::sweep(Scale::Tiny, poisson, &[0.4, 2.0], QueuePolicy::Fifo, SEED);
+    let sweep = serving::sweep_to_json(&sweeps, Scale::Tiny, poisson, QueuePolicy::Fifo, SEED);
     let mix = two_tenants();
-    let tenant = serving::tenant_sweep_at(Scale::Tiny, &mix, &[0.8], QueuePolicy::Edf, SEED);
-    let tenant = serving::tenant_sweep_to_json(&tenant, Scale::Tiny, &mix, QueuePolicy::Edf, SEED);
+    let tenants = Traffic::Tenants(&mix);
+    let tenant = serving::sweep(Scale::Tiny, tenants, &[0.8], QueuePolicy::Edf, SEED);
+    let tenant = serving::sweep_to_json(&tenant, Scale::Tiny, tenants, QueuePolicy::Edf, SEED);
     check(&[
         ("sweep_to_json", of_str(&sweep), 0x5db0_2455_f2b7_6c86),
         (
-            "tenant_sweep_to_json",
+            "tenant sweep_to_json",
             of_str(&tenant),
             0x7220_fc21_850c_1dbe,
         ),
@@ -134,7 +136,7 @@ fn slo_documents_match_golden() {
     let slo = serving::slo_search_at(Scale::Tiny, false, QueuePolicy::Fifo, SEED, 200.0, 4);
     let slo = serving::slo_to_json(&slo, Scale::Tiny, false, QueuePolicy::Fifo, SEED);
     let mix = two_tenants();
-    let tenant = serving::tenant_slo_search_at(Scale::Tiny, &mix, QueuePolicy::Edf, SEED, 4);
+    let tenant = serving::tenant_slo_search(Scale::Tiny, &mix, QueuePolicy::Edf, SEED, 4);
     let tenant = serving::tenant_slo_to_json(&tenant, Scale::Tiny, &mix, QueuePolicy::Edf, SEED);
     check(&[
         ("slo_to_json", of_str(&slo), 0x2b80_3c83_b19b_f668),
