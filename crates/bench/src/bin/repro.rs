@@ -483,8 +483,9 @@ fn open_stream(path: &str) -> Box<dyn std::io::Write> {
     }
 }
 
-/// One human-readable line on the recorder's memory footprint and sink
-/// drop counters.
+/// One human-readable line with the recorder's capacity index (summed
+/// container capacities, not bytes; see `ObsReport::heap_capacity`) and
+/// sink drop counters.
 fn recorder_stats_line(heap: usize, sinks: &[recross_obs::SinkStats]) -> String {
     let sinks = if sinks.is_empty() {
         "none".to_string()
@@ -495,10 +496,7 @@ fn recorder_stats_line(heap: usize, sinks: &[recross_obs::SinkStats]) -> String 
             .collect::<Vec<_>>()
             .join(", ")
     };
-    format!(
-        "recorder: heap high-water {:.1} KiB; sinks: {sinks}",
-        heap as f64 / 1024.0
-    )
+    format!("recorder: heap_capacity {heap}; sinks: {sinks}")
 }
 
 /// Serves one traced point of `arch` at `load` × capacity, writes the

@@ -115,11 +115,6 @@ impl InstructionBus {
         }
     }
 
-    /// Cycles one instruction occupies the channel.
-    pub fn cycles_per_instruction(&self) -> Cycle {
-        self.cycles_per_inst
-    }
-
     /// Reserves the next delivery slot at or after `not_before`; returns the
     /// cycle at which the instruction has fully arrived.
     pub fn deliver(&mut self, not_before: Cycle) -> Cycle {
@@ -176,10 +171,10 @@ mod tests {
     #[test]
     fn instruction_bus_ca_only_vs_two_stage() {
         // 82-bit instruction over 14 C/A pins: 6 cycles; over 94: 1 cycle.
-        let ca = InstructionBus::new(82, 14);
-        let two = InstructionBus::new(82, 94);
-        assert_eq!(ca.cycles_per_instruction(), 6);
-        assert_eq!(two.cycles_per_instruction(), 1);
+        let mut ca = InstructionBus::new(82, 14);
+        let mut two = InstructionBus::new(82, 94);
+        assert_eq!(ca.deliver(0), 6);
+        assert_eq!(two.deliver(0), 1);
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl Topology {
         u64::from(self.rows_per_bank) * u64::from(self.row_bytes)
     }
 
-    /// Rank capacity in bytes.
-    pub fn rank_bytes(&self) -> u64 {
-        self.bank_bytes() * u64::from(self.banks_per_rank())
-    }
-
     /// Read bursts needed for `bytes` contiguous bytes.
     pub fn bursts_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(u64::from(self.burst_bytes))
@@ -327,11 +322,6 @@ impl DramConfig {
         self.clock_mhz * 1e6
     }
 
-    /// Peak per-channel data-bus bandwidth in bytes per cycle.
-    pub fn channel_bytes_per_cycle(&self) -> f64 {
-        self.topology.burst_bytes as f64 / self.timing.t_bl as f64
-    }
-
     /// Validates the whole configuration.
     ///
     /// # Panics
@@ -368,7 +358,6 @@ mod tests {
         d4.validate();
         let d5 = DramConfig::ddr5_4800();
         assert_eq!(d4.topology.bank_groups * 2, d5.topology.bank_groups);
-        assert!(d4.channel_bytes_per_cycle() > 0.0);
     }
 
     #[test]
@@ -384,8 +373,8 @@ mod tests {
         let topo = DramConfig::ddr5_4800().topology;
         assert_eq!(topo.banks_per_rank(), 32);
         assert_eq!(topo.rows_per_subarray(), 256);
-        // 32 banks × 64 Ki rows × 8 KiB = 16 GiB per rank.
-        assert_eq!(topo.rank_bytes(), 16 * (1u64 << 30));
+        // 64 Ki rows × 8 KiB = 512 MiB per bank.
+        assert_eq!(topo.bank_bytes(), 512 * (1u64 << 20));
     }
 
     #[test]

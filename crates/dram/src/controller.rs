@@ -183,18 +183,6 @@ impl RunStats {
             self.row_hits as f64 / total as f64
         }
     }
-
-    /// Channel data-bus utilization as a fraction of the run:
-    /// `data_bus_busy / finish`, 0 for an empty run. Unlike the raw cycle
-    /// counter this is directly comparable across runs of different
-    /// lengths (the Fig. 12-style bus-saturation analyses).
-    pub fn bus_utilization(&self) -> f64 {
-        if self.finish == 0 {
-            0.0
-        } else {
-            self.data_bus_busy as f64 / self.finish as f64
-        }
-    }
 }
 
 /// Device-I/O scope a read occupies for a given destination.
@@ -1167,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn bus_utilization_matches_hand_computed_two_read_schedule() {
+    fn data_bus_busy_matches_hand_computed_two_read_schedule() {
         // Two single-burst host-bound reads on different ranks: the row
         // activations overlap, the two data bursts serialize on the one
         // channel bus. Hand schedule: first burst lands at
@@ -1183,8 +1171,6 @@ mod tests {
         let stats = ctl.stats();
         assert_eq!(stats.finish, t.t_rcd + t.t_cl + 2 * t.t_bl);
         assert_eq!(stats.data_bus_busy, 2 * t.t_bl);
-        let expect = (2 * t.t_bl) as f64 / (t.t_rcd + t.t_cl + 2 * t.t_bl) as f64;
-        assert!((stats.bus_utilization() - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -1193,7 +1179,6 @@ mod tests {
         ctl.enqueue(req(1, 0, 0, 0, 1, 0, 4, BusScope::Bank));
         ctl.run();
         assert_eq!(ctl.stats().data_bus_busy, 0);
-        assert_eq!(ctl.stats().bus_utilization(), 0.0);
     }
 
     #[test]

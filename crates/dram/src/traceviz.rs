@@ -138,7 +138,6 @@ mod tests {
         let root = rec.track("DRAM channel", None);
         let mut tracks = dram_tracks(&mut rec, root, cfg);
         record_commands(&mut rec, &mut tracks, cfg, trace, 0);
-        assert_eq!(rec.validate(), Ok(()));
         recross_obs::chrome_trace_string(&rec, cfg.cycles_to_ns(1))
     }
 
@@ -215,6 +214,5 @@ mod tests {
         record_commands(&mut rec, &mut tracks, &cfg, &trace, 100);
         let e = rec.events().last().unwrap();
         assert_eq!(e.ts, 105);
-        assert_eq!(rec.validate(), Ok(()));
     }
 }

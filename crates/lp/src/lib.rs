@@ -5,8 +5,8 @@
 //! embedding-table placement as an LP solved by Gurobi; this crate provides
 //! an exact replacement sized for that problem class:
 //!
-//! * [`problem`] — LP builder ([`LpProblem`]) with ≤/=/≥ constraints,
-//!   non-negative variables and upper bounds;
+//! * [`problem`] — LP builder ([`LpProblem`]): minimize over
+//!   non-negative variables subject to ≤/=/≥ constraints;
 //! * [`simplex`] — dense two-phase primal simplex with anti-cycling.
 //!
 //! The concave access CDFs enter the LP as per-segment access shares;
@@ -22,7 +22,7 @@
 //! p.set_objective_coeff(0, 1.0);
 //! p.add_constraint(vec![(0, 1.0), (1, -3.0)], Relation::Ge, 0.0);
 //! p.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 6.0);
-//! p.set_upper_bound(1, 10.0);
+//! p.add_constraint(vec![(1, 1.0)], Relation::Le, 10.0);
 //! let sol = p.solve()?;
 //! assert!((sol.objective - 4.5).abs() < 1e-7); // t = 4.5 at x = 1.5
 //! # Ok::<(), recross_lp::LpError>(())
@@ -31,4 +31,4 @@
 pub mod problem;
 pub mod simplex;
 
-pub use problem::{Constraint, LpError, LpProblem, LpSolution, Objective, Relation};
+pub use problem::{Constraint, LpError, LpProblem, LpSolution, Relation};

@@ -28,48 +28,35 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
-/// Optimization direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Objective {
-    /// Minimize the objective (default — BWP minimizes latency).
-    #[default]
-    Minimize,
-    /// Maximize the objective.
-    Maximize,
-}
-
-/// A linear program: `opt c·x` s.t. constraints, with `x ≥ 0` plus optional
-/// per-variable upper bounds.
+/// A linear program: minimize `c·x` s.t. constraints, with `x ≥ 0`. To
+/// maximize, minimize `−c·x`; to bound a variable, add a `Le` row.
 ///
 /// # Examples
 ///
 /// ```
 /// use recross_lp::problem::{LpProblem, Relation};
 ///
-/// // maximize x + y s.t. x + 2y <= 4, 3x + y <= 6
+/// // maximize x + y s.t. x + 2y <= 4, 3x + y <= 6, as minimize -x - y
 /// let mut p = LpProblem::new(2);
-/// p.maximize();
-/// p.set_objective_coeff(0, 1.0);
-/// p.set_objective_coeff(1, 1.0);
+/// p.set_objective_coeff(0, -1.0);
+/// p.set_objective_coeff(1, -1.0);
 /// p.add_constraint(vec![(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
 /// p.add_constraint(vec![(0, 3.0), (1, 1.0)], Relation::Le, 6.0);
 /// let sol = p.solve().unwrap();
 /// // optimum 2.8 at the vertex (1.6, 1.2)
-/// assert!((sol.objective - 2.8).abs() < 1e-8);
+/// assert!((sol.objective + 2.8).abs() < 1e-8);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LpProblem {
     pub(crate) num_vars: usize,
     pub(crate) objective: Vec<f64>,
-    pub(crate) direction: Objective,
     pub(crate) constraints: Vec<Constraint>,
-    pub(crate) upper_bounds: Vec<Option<f64>>,
 }
 
 /// A solution to an [`LpProblem`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
-    /// Optimal objective value (in the problem's direction).
+    /// Optimal (minimal) objective value.
     pub objective: f64,
     /// Optimal variable assignment.
     pub values: Vec<f64>,
@@ -80,7 +67,7 @@ pub struct LpSolution {
 pub enum LpError {
     /// No assignment satisfies all constraints.
     Infeasible,
-    /// The objective is unbounded in the optimization direction.
+    /// The objective is unbounded below.
     Unbounded,
     /// The solver exceeded its iteration budget (numerical trouble).
     IterationLimit,
@@ -107,32 +94,13 @@ impl LpProblem {
         Self {
             num_vars,
             objective: vec![0.0; num_vars],
-            direction: Objective::Minimize,
             constraints: Vec::new(),
-            upper_bounds: vec![None; num_vars],
         }
     }
 
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
-    }
-
-    /// Number of constraints (excluding bounds).
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// Switches to maximization.
-    pub fn maximize(&mut self) -> &mut Self {
-        self.direction = Objective::Maximize;
-        self
-    }
-
-    /// Switches to minimization (the default).
-    pub fn minimize(&mut self) -> &mut Self {
-        self.direction = Objective::Minimize;
-        self
     }
 
     /// Sets the objective coefficient of variable `var`.
@@ -144,21 +112,6 @@ impl LpProblem {
         assert!(var < self.num_vars, "variable index out of range");
         assert!(coeff.is_finite(), "objective coefficient must be finite");
         self.objective[var] = coeff;
-        self
-    }
-
-    /// Adds `x_var ≤ bound` as a cheap dedicated bound row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range or `bound` is negative/non-finite.
-    pub fn set_upper_bound(&mut self, var: usize, bound: f64) -> &mut Self {
-        assert!(var < self.num_vars, "variable index out of range");
-        assert!(
-            bound.is_finite() && bound >= 0.0,
-            "upper bound must be finite and non-negative"
-        );
-        self.upper_bounds[var] = Some(bound);
         self
     }
 
@@ -217,8 +170,7 @@ mod tests {
     fn builder_counts() {
         let mut p = LpProblem::new(3);
         p.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
-        p.set_upper_bound(2, 5.0);
         assert_eq!(p.num_vars(), 3);
-        assert_eq!(p.num_constraints(), 1);
+        assert_eq!(p.constraints.len(), 1);
     }
 }

@@ -3,18 +3,18 @@
 //!
 //! Standard textbook construction: every constraint receives a slack (≤),
 //! surplus+artificial (≥), or artificial (=) variable; phase 1 minimizes the
-//! sum of artificials to find a basic feasible solution, phase 2 optimizes
+//! sum of artificials to find a basic feasible solution, phase 2 minimizes
 //! the real objective. Bland's rule is used as an anti-cycling fallback after
 //! a degenerate stretch; Dantzig's rule otherwise for speed. The BWP LPs are
 //! tiny (≈ 100 variables), so a dense tableau is the right tool.
 
-use crate::problem::{LpError, LpProblem, LpSolution, Objective, Relation};
+use crate::problem::{LpError, LpProblem, LpSolution, Relation};
 
 const EPS: f64 = 1e-9;
 
 /// Solves `problem`; see [`LpProblem::solve`].
 pub fn solve(problem: &LpProblem) -> Result<LpSolution, LpError> {
-    Tableau::build(problem).and_then(|mut t| t.run(problem))
+    Tableau::build(problem).run(problem)
 }
 
 struct Tableau {
@@ -29,8 +29,7 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn build(p: &LpProblem) -> Result<Self, LpError> {
-        // Materialize constraints: general rows + upper-bound rows.
+    fn build(p: &LpProblem) -> Self {
         let mut rows_data: Vec<(Vec<f64>, Relation, f64)> = Vec::new();
         for c in &p.constraints {
             let mut dense = vec![0.0; p.num_vars];
@@ -38,13 +37,6 @@ impl Tableau {
                 dense[v] += coef;
             }
             rows_data.push((dense, c.relation, c.rhs));
-        }
-        for (v, ub) in p.upper_bounds.iter().enumerate() {
-            if let Some(b) = ub {
-                let mut dense = vec![0.0; p.num_vars];
-                dense[v] = 1.0;
-                rows_data.push((dense, Relation::Le, *b));
-            }
         }
         // Normalize to non-negative RHS.
         for (dense, rel, rhs) in &mut rows_data {
@@ -104,14 +96,14 @@ impl Tableau {
                 }
             }
         }
-        Ok(Self {
+        Self {
             a,
             basis,
             rows: m,
             cols,
             artificial_start,
             num_vars: n,
-        })
+        }
     }
 
     fn run(&mut self, p: &LpProblem) -> Result<LpSolution, LpError> {
@@ -127,14 +119,10 @@ impl Tableau {
             }
             self.drive_out_artificials();
         }
-        // Phase 2: the real objective, as maximization.
+        // Phase 2: minimize the real objective, as maximize -c·x.
         let mut obj = vec![0.0; self.cols];
-        let sign = match p.direction {
-            Objective::Maximize => 1.0,
-            Objective::Minimize => -1.0,
-        };
         for (v, &c) in p.objective.iter().enumerate() {
-            obj[v] = sign * c;
+            obj[v] = -c;
         }
         // Artificials must stay out: forbid them by a strongly negative cost.
         let val = self.optimize(&obj)?;
@@ -145,7 +133,7 @@ impl Tableau {
             }
         }
         Ok(LpSolution {
-            objective: sign * val,
+            objective: -val,
             values,
         })
     }
@@ -219,12 +207,12 @@ impl Tableau {
             } else {
                 degenerate_streak = 0;
             }
-            self.pivot(l, e, &mut z, obj);
+            self.pivot(l, e, &mut z);
         }
         Err(LpError::IterationLimit)
     }
 
-    fn pivot(&mut self, row: usize, col: usize, z: &mut [f64], obj: &[f64]) {
+    fn pivot(&mut self, row: usize, col: usize, z: &mut [f64]) {
         let cols = self.cols;
         let pv = self.a[row][col];
         debug_assert!(pv.abs() > EPS, "pivot on near-zero element");
@@ -250,7 +238,6 @@ impl Tableau {
         self.basis[row] = col;
         // Recompute the entering column's reduced cost exactly (should be 0).
         z[col] = 0.0;
-        let _ = obj;
     }
 
     /// After phase 1, pivot remaining (zero-valued) artificial basis
@@ -261,8 +248,7 @@ impl Tableau {
                 // Find a structural/slack column with nonzero coefficient.
                 if let Some(j) = (0..self.artificial_start).find(|&j| self.a[r][j].abs() > 1e-7) {
                     let mut z = vec![0.0; self.cols + 1];
-                    let obj = vec![0.0; self.cols];
-                    self.pivot(r, j, &mut z, &obj);
+                    self.pivot(r, j, &mut z);
                 }
                 // Otherwise the row is redundant (all-zero): harmless.
             }
@@ -281,15 +267,15 @@ mod tests {
 
     #[test]
     fn textbook_max() {
-        // max 3x + 5y, x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6)
+        // max 3x + 5y, x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2, 6),
+        // solved as min -3x - 5y.
         let mut p = LpProblem::new(2);
-        p.maximize();
-        p.set_objective_coeff(0, 3.0).set_objective_coeff(1, 5.0);
+        p.set_objective_coeff(0, -3.0).set_objective_coeff(1, -5.0);
         p.add_constraint(vec![(0, 1.0)], Relation::Le, 4.0);
         p.add_constraint(vec![(1, 2.0)], Relation::Le, 12.0);
         p.add_constraint(vec![(0, 3.0), (1, 2.0)], Relation::Le, 18.0);
         let s = p.solve().unwrap();
-        approx(s.objective, 36.0);
+        approx(s.objective, -36.0);
         approx(s.values[0], 2.0);
         approx(s.values[1], 6.0);
     }
@@ -312,7 +298,7 @@ mod tests {
         let mut p = LpProblem::new(2);
         p.set_objective_coeff(0, 1.0).set_objective_coeff(1, 1.0);
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Eq, 5.0);
-        p.set_upper_bound(0, 2.0);
+        p.add_constraint(vec![(0, 1.0)], Relation::Le, 2.0);
         let s = p.solve().unwrap();
         approx(s.objective, 5.0);
         approx(s.values[0] + s.values[1], 5.0);
@@ -323,15 +309,14 @@ mod tests {
     fn detects_infeasible() {
         let mut p = LpProblem::new(1);
         p.add_constraint(vec![(0, 1.0)], Relation::Ge, 5.0);
-        p.set_upper_bound(0, 1.0);
+        p.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
         assert_eq!(p.solve().unwrap_err(), LpError::Infeasible);
     }
 
     #[test]
     fn detects_unbounded() {
         let mut p = LpProblem::new(1);
-        p.maximize();
-        p.set_objective_coeff(0, 1.0);
+        p.set_objective_coeff(0, -1.0);
         assert_eq!(p.solve().unwrap_err(), LpError::Unbounded);
     }
 
@@ -354,7 +339,7 @@ mod tests {
         p.set_objective_coeff(0, 1.0);
         p.add_constraint(vec![(0, 1.0), (1, -2.0)], Relation::Ge, 0.0);
         p.add_constraint(vec![(0, 1.0), (1, 0.5)], Relation::Ge, 5.0);
-        p.set_upper_bound(1, 10.0);
+        p.add_constraint(vec![(1, 1.0)], Relation::Le, 10.0);
         let s = p.solve().unwrap();
         approx(s.objective, 4.0);
         approx(s.values[1], 2.0);
@@ -364,14 +349,13 @@ mod tests {
     fn degenerate_problem_terminates() {
         // Classic degeneracy: several redundant constraints through origin.
         let mut p = LpProblem::new(2);
-        p.maximize();
-        p.set_objective_coeff(0, 1.0).set_objective_coeff(1, 1.0);
+        p.set_objective_coeff(0, -1.0).set_objective_coeff(1, -1.0);
         p.add_constraint(vec![(0, 1.0), (1, 1.0)], Relation::Le, 1.0);
         p.add_constraint(vec![(0, 2.0), (1, 2.0)], Relation::Le, 2.0);
         p.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
         p.add_constraint(vec![(1, 1.0)], Relation::Le, 1.0);
         let s = p.solve().unwrap();
-        approx(s.objective, 1.0);
+        approx(s.objective, -1.0);
     }
 
     #[test]
@@ -387,10 +371,9 @@ mod tests {
     fn duplicate_terms_are_summed() {
         // x + x <= 4 means 2x <= 4.
         let mut p = LpProblem::new(1);
-        p.maximize();
-        p.set_objective_coeff(0, 1.0);
+        p.set_objective_coeff(0, -1.0);
         p.add_constraint(vec![(0, 1.0), (0, 1.0)], Relation::Le, 4.0);
         let s = p.solve().unwrap();
-        approx(s.objective, 2.0);
+        approx(s.objective, -2.0);
     }
 }

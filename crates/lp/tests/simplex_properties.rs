@@ -1,8 +1,9 @@
 //! Randomized tests of the simplex solver against brute-force enumeration.
 //!
-//! For random small LPs with only ≤ constraints (plus variable bounds), the
-//! optimum lies at a vertex of the polytope; we grid-sample the box and
-//! compare objectives. Also checks solver invariants: returned points are
+//! For random small LPs with only ≤ constraints (plus variable bounds,
+//! written as ≤ rows), the optimum lies at a vertex of the polytope; we
+//! grid-sample the box and compare objectives. The solver minimizes, so
+//! maximizing `c·x` is posed as minimizing `−c·x`. Also checks solver invariants: returned points are
 //! feasible and no feasible sample beats the optimum.
 //!
 //! Cases are generated from the in-repo deterministic PRNG (the container
@@ -38,12 +39,12 @@ fn random_lp(rng: &mut Xoshiro256pp) -> SmallLp {
     SmallLp { c, rows, ub }
 }
 
-fn build(lp: &SmallLp) -> LpProblem {
+/// The LP minimizing `sign · c·x` (`sign = -1.0` maximizes `c·x`).
+fn build(lp: &SmallLp, sign: f64) -> LpProblem {
     let n = lp.c.len();
     let mut p = LpProblem::new(n);
-    p.maximize();
     for (i, &ci) in lp.c.iter().enumerate() {
-        p.set_objective_coeff(i, ci);
+        p.set_objective_coeff(i, sign * ci);
     }
     for (a, b) in &lp.rows {
         p.add_constraint(
@@ -53,7 +54,7 @@ fn build(lp: &SmallLp) -> LpProblem {
         );
     }
     for (i, &u) in lp.ub.iter().enumerate() {
-        p.set_upper_bound(i, u);
+        p.add_constraint(vec![(i, 1.0)], Relation::Le, u);
     }
     p
 }
@@ -76,16 +77,14 @@ fn optimum_is_feasible_and_unbeaten_by_grid() {
         let lp = random_lp(&mut rng);
         // All coefficients non-negative with upper bounds → always feasible
         // (origin) and bounded.
-        let sol = build(&lp).solve().expect("bounded and feasible");
+        let sol = build(&lp, -1.0).solve().expect("bounded and feasible");
+        let best = -sol.objective;
         assert!(
             feasible(&lp, &sol.values),
             "case {case}: optimum must be feasible: {lp:?}"
         );
         let obj = |x: &[f64]| lp.c.iter().zip(x).map(|(c, v)| c * v).sum::<f64>();
-        assert!(
-            (obj(&sol.values) - sol.objective).abs() < 1e-6,
-            "case {case}"
-        );
+        assert!((obj(&sol.values) - best).abs() < 1e-6, "case {case}");
         // Grid sample of the box; no feasible point may beat the optimum.
         let n = lp.c.len();
         let steps = 6usize;
@@ -98,10 +97,9 @@ fn optimum_is_feasible_and_unbeaten_by_grid() {
                 .collect();
             if feasible(&lp, &x) {
                 assert!(
-                    obj(&x) <= sol.objective + 1e-6,
-                    "case {case}: grid point {x:?} with objective {} beats optimum {}",
+                    obj(&x) <= best + 1e-6,
+                    "case {case}: grid point {x:?} with objective {} beats optimum {best}",
                     obj(&x),
-                    sol.objective
                 );
             }
             // Advance the mixed-radix counter.
@@ -122,15 +120,13 @@ fn optimum_is_feasible_and_unbeaten_by_grid() {
 }
 
 #[test]
-fn minimization_matches_negated_maximization() {
+fn minimizing_positive_costs_stays_at_the_origin() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x317_111);
     for case in 0..128 {
         let lp = random_lp(&mut rng);
         // min c·x over the same polytope with x >= 0 trivially gives 0 at
         // the origin; check the solver agrees.
-        let mut p = build(&lp);
-        p.minimize();
-        let sol = p.solve().expect("feasible");
+        let sol = build(&lp, 1.0).solve().expect("feasible");
         assert!(
             sol.objective.abs() < 1e-7,
             "case {case}: origin is optimal: {}",
@@ -144,8 +140,8 @@ fn adding_a_constraint_never_improves() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x7143);
     for case in 0..128 {
         let lp = random_lp(&mut rng);
-        let base = build(&lp).solve().expect("feasible").objective;
-        let mut tighter = build(&lp);
+        let base = -build(&lp, -1.0).solve().expect("feasible").objective;
+        let mut tighter = build(&lp, -1.0);
         // Σ x_i <= half of the loosest bound.
         let cap = lp.ub.iter().cloned().fold(f64::INFINITY, f64::min) / 2.0;
         tighter.add_constraint(
@@ -153,7 +149,7 @@ fn adding_a_constraint_never_improves() {
             Relation::Le,
             cap,
         );
-        let t = tighter.solve().expect("still feasible").objective;
+        let t = -tighter.solve().expect("still feasible").objective;
         assert!(
             t <= base + 1e-6,
             "case {case}: tightening improved: {t} > {base}"

@@ -96,15 +96,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Throughput in lookups per microsecond.
-    pub fn lookups_per_us(&self) -> f64 {
-        if self.ns == 0.0 {
-            0.0
-        } else {
-            self.lookups as f64 * 1_000.0 / self.ns
-        }
-    }
-
     /// Speedup of `self` over `other` in execution time.
     ///
     /// A zero-time run is infinitely fast, not infinitely slow: when
@@ -213,8 +204,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(a.speedup_over(&b), 4.0);
-        assert_eq!(a.lookups_per_us(), 10_000.0);
-        assert_eq!(RunReport::default().lookups_per_us(), 0.0);
     }
 
     #[test]

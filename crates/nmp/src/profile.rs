@@ -99,17 +99,6 @@ impl AccessProfile {
         v.truncate(limit);
         v
     }
-
-    /// Fraction of all accesses captured by the globally hottest
-    /// `fraction`-share of *touched* rows — the empirical Figure 3 statistic.
-    pub fn capture_of_hottest(&self, fraction: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let k = ((self.counts.len() as f64 * fraction).ceil() as usize).clamp(1, self.counts.len());
-        let top: u64 = self.hottest(k).iter().map(|&(_, _, c)| c).sum();
-        top as f64 / self.total as f64
-    }
 }
 
 #[cfg(test)]
@@ -144,13 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn hottest_is_sorted_and_skewed() {
+    fn hottest_is_sorted() {
         let t = trace();
         let p = AccessProfile::from_trace(&t);
         let hot = p.hottest(50);
         assert!(hot.windows(2).all(|w| w[0].2 >= w[1].2));
-        // Long tail: hottest 10% of touched rows capture well over 10%.
-        assert!(p.capture_of_hottest(0.1) > 0.2);
     }
 
     #[test]
@@ -166,7 +153,6 @@ mod tests {
     fn empty_profile_is_sane() {
         let p = AccessProfile::default();
         assert_eq!(p.total(), 0);
-        assert_eq!(p.capture_of_hottest(0.5), 0.0);
         assert_eq!(p.count(0, 0), 0);
     }
 }

@@ -35,11 +35,12 @@
 //! that sequence. Tests in this module and in `recross-serve` assert the
 //! equality (`Aggregates` derives `PartialEq`).
 //!
-//! Request timing definitions (shared with `ServeObs`'s per-tenant
-//! report block): *time-in-queue* is first dispatch minus arrival,
-//! *time-in-service* is lifecycle end minus last dispatch; requests that
-//! were never dispatched anywhere (pure sheds) contribute to fate
-//! counters but not to the timing histograms.
+//! [`TenantAggregate::record`] is the one place a request's [`Fate`] is
+//! counted and its timing recorded; `ServeObs` calls it too, so its
+//! per-tenant report block is this same record. *Time-in-queue* is first
+//! dispatch minus arrival, *time-in-service* is lifecycle end minus last
+//! dispatch; requests that were never dispatched anywhere (pure sheds)
+//! contribute to fate counters but not to the timing histograms.
 
 use std::collections::BTreeMap;
 
@@ -48,17 +49,43 @@ use crate::json::{fmt_f64, json_string};
 use crate::recorder::{Event, EventKind, Recorder, StrId, TrackId};
 use crate::sink::EventSink;
 
-/// Parses the request-fate suffix of a lifecycle span name
-/// (`"req#3 deadline-shed"` → `Some("deadline-shed")`). The four fates
-/// are the serving simulator's request outcomes; anything else is not a
-/// lifecycle span.
-pub fn parse_fate(name: &str) -> Option<&'static str> {
-    match name.rsplit(' ').next() {
-        Some("completed") => Some("completed"),
-        Some("late") => Some("late"),
-        Some("queue-shed") => Some("queue-shed"),
-        Some("deadline-shed") => Some("deadline-shed"),
-        _ => None,
+/// How one request's lifecycle resolved: the suffix of its lifecycle
+/// span name (`req#3 deadline-shed`). The four fates partition a
+/// tenant's requests exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fate {
+    /// Finished within its deadline.
+    Completed,
+    /// Finished after its deadline.
+    Late,
+    /// Shed on admission (queue full).
+    QueueShed,
+    /// Shed in queue (deadline hopeless).
+    DeadlineShed,
+}
+
+impl Fate {
+    /// The lifecycle-span label suffix.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fate::Completed => "completed",
+            Fate::Late => "late",
+            Fate::QueueShed => "queue-shed",
+            Fate::DeadlineShed => "deadline-shed",
+        }
+    }
+
+    /// Parses the fate suffix of a lifecycle span name
+    /// (`"req#3 deadline-shed"` → `Some(DeadlineShed)`); anything else is
+    /// not a lifecycle span.
+    pub fn parse(name: &str) -> Option<Fate> {
+        match name.rsplit(' ').next()? {
+            "completed" => Some(Fate::Completed),
+            "late" => Some(Fate::Late),
+            "queue-shed" => Some(Fate::QueueShed),
+            "deadline-shed" => Some(Fate::DeadlineShed),
+            _ => None,
+        }
     }
 }
 
@@ -102,9 +129,9 @@ struct OpenRequest {
     tenant: usize,
     start: u64,
     end: u64,
-    fate: Option<&'static str>,
-    first_dispatch: Option<u64>,
-    last_dispatch: Option<u64>,
+    fate: Option<Fate>,
+    /// First and last dispatch instant seen so far.
+    dispatch: Option<(u64, u64)>,
 }
 
 /// Per-tenant lifecycle aggregates: fate counters that partition the
@@ -128,7 +155,8 @@ pub struct TenantAggregate {
 }
 
 impl TenantAggregate {
-    fn new(name: &str) -> Self {
+    /// An empty record for tenant `name`.
+    pub fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
             completed: 0,
@@ -140,12 +168,30 @@ impl TenantAggregate {
         }
     }
 
+    /// Counts one request that arrived at `arrival` and resolved with
+    /// `fate` at `end`. `dispatch` is its first and last dispatch cycle,
+    /// `None` when it never dispatched: such a request feeds the fate
+    /// counter only.
+    pub fn record(&mut self, fate: Fate, arrival: u64, end: u64, dispatch: Option<(u64, u64)>) {
+        match fate {
+            Fate::Completed => self.completed += 1,
+            Fate::Late => self.late += 1,
+            Fate::QueueShed => self.queue_shed += 1,
+            Fate::DeadlineShed => self.deadline_shed += 1,
+        }
+        if let Some((first, last)) = dispatch {
+            self.time_in_queue.record(first.saturating_sub(arrival));
+            self.time_in_service.record(end.saturating_sub(last));
+        }
+    }
+
     /// Total requests across all four fates.
     pub fn requests(&self) -> u64 {
         self.completed + self.late + self.queue_shed + self.deadline_shed
     }
 
-    fn to_json(&self) -> String {
+    /// The record as a deterministic JSON object.
+    pub fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\"name\":{},\"requests\":{},\"completed\":{},\"late\":{},",
@@ -292,19 +338,8 @@ impl Aggregator {
     }
 
     fn finalize(tenants: &mut [TenantAggregate], o: &OpenRequest) {
-        let Some(fate) = o.fate else { return };
-        let t = &mut tenants[o.tenant];
-        match fate {
-            "completed" => t.completed += 1,
-            "late" => t.late += 1,
-            "queue-shed" => t.queue_shed += 1,
-            _ => t.deadline_shed += 1,
-        }
-        if let Some(fd) = o.first_dispatch {
-            t.time_in_queue.record(fd.saturating_sub(o.start));
-        }
-        if let Some(ld) = o.last_dispatch {
-            t.time_in_service.record(o.end.saturating_sub(ld));
+        if let Some(fate) = o.fate {
+            tenants[o.tenant].record(fate, o.start, o.end, o.dispatch);
         }
     }
 
@@ -418,9 +453,8 @@ impl EventSink for Aggregator {
                             tenant,
                             start: e.ts,
                             end: e.ts + dur,
-                            fate: parse_fate(&self.strings[e.name.0 as usize]),
-                            first_dispatch: None,
-                            last_dispatch: None,
+                            fate: Fate::parse(&self.strings[e.name.0 as usize]),
+                            dispatch: None,
                         });
                     }
                     Role::Plain => {}
@@ -430,10 +464,8 @@ impl EventSink for Aggregator {
                 if let Role::Lane(_) = info.role {
                     if self.strings[e.name.0 as usize].starts_with("dispatch") {
                         if let Some(o) = self.open[t].as_mut() {
-                            if o.first_dispatch.is_none() {
-                                o.first_dispatch = Some(e.ts);
-                            }
-                            o.last_dispatch = Some(e.ts);
+                            let first = o.dispatch.map_or(e.ts, |(first, _)| first);
+                            o.dispatch = Some((first, e.ts));
                         }
                     }
                 }
@@ -584,10 +616,42 @@ mod tests {
     }
 
     #[test]
-    fn fate_and_class_parsers() {
-        assert_eq!(parse_fate("req#12 completed"), Some("completed"));
-        assert_eq!(parse_fate("req#0 queue-shed"), Some("queue-shed"));
-        assert_eq!(parse_fate("batch#0 (3 req)"), None);
+    fn fate_labels_round_trip() {
+        for fate in [
+            Fate::Completed,
+            Fate::Late,
+            Fate::QueueShed,
+            Fate::DeadlineShed,
+        ] {
+            assert_eq!(Fate::parse(fate.label()), Some(fate));
+            assert_eq!(Fate::parse(&format!("req#12 {}", fate.label())), Some(fate));
+        }
+        assert_eq!(Fate::parse("batch#0 (3 req)"), None);
+        assert_eq!(Fate::parse("dispatch ch0"), None);
+        assert_eq!(Fate::parse(""), None);
+    }
+
+    #[test]
+    fn record_counts_every_fate_and_times_only_dispatched_requests() {
+        let mut t = TenantAggregate::new("rt");
+        // Queued 10..40, served 40..100 (one dispatch).
+        t.record(Fate::Completed, 10, 100, Some((40, 40)));
+        // Split over two channels: first dispatch at 5, last at 20.
+        t.record(Fate::Late, 0, 50, Some((5, 20)));
+        t.record(Fate::QueueShed, 60, 60, None);
+        t.record(Fate::DeadlineShed, 70, 90, None);
+        assert_eq!(
+            (t.completed, t.late, t.queue_shed, t.deadline_shed),
+            (1, 1, 1, 1)
+        );
+        assert_eq!(t.requests(), 4);
+        assert_eq!(t.time_in_queue.count(), 2, "sheds are never timed");
+        assert_eq!((t.time_in_queue.min(), t.time_in_queue.max()), (5, 30));
+        assert_eq!((t.time_in_service.min(), t.time_in_service.max()), (30, 60));
+    }
+
+    #[test]
+    fn span_class_is_the_name_prefix() {
         assert_eq!(span_class("req#12 completed"), "req");
         assert_eq!(span_class("batch#0 (3 req)"), "batch");
         assert_eq!(span_class("Act r17 c3"), "Act");

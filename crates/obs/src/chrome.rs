@@ -299,7 +299,6 @@ mod tests {
     #[test]
     fn round_trip_counts_match_recorded_events() {
         let rec = sample();
-        rec.validate().unwrap();
         let json = chrome_trace_string(&rec, 0.4167);
         assert!(json.starts_with("[\n") && json.ends_with("\n]"));
         assert_eq!(count(&json, "\"ph\":\"X\""), 2);

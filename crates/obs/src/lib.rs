@@ -6,7 +6,9 @@
 //! [`Recorder`]: named **tracks** arranged in a forest (tenant → request
 //! lane, channel → server / queue depth / DRAM banks), and on each track
 //! complete **spans**, **instants**, and **counter** samples, all
-//! timestamped in integer controller cycles. The recorder is append-only.
+//! timestamped in integer controller cycles. The recorder is append-only;
+//! debug builds check, as each event arrives, that no track goes back in
+//! time.
 //! An untraced run builds no recorder at all, so the simulation pays for
 //! tracing only when it is on.
 //!
@@ -14,7 +16,7 @@
 //! [`EventSink`] attached to it (see the [`mod@sink`] module):
 //!
 //! * [`MemorySink`] retains the raw [`Event`] stream (the default, via
-//!   [`Recorder::new`]) for after-the-fact export and validation;
+//!   [`Recorder::new`]) for after-the-fact export;
 //! * [`ChromeStreamSink`] streams the forest as a Chrome-trace /
 //!   Perfetto JSON file (root tracks become processes, descendants
 //!   become threads) in bounded memory — [`write_chrome_trace`] is the
@@ -47,7 +49,6 @@
 //! let worker = rec.track("worker 0", Some(sys));
 //! rec.span(worker, "job", 100, 250);
 //! rec.counter(sys, "queue depth", 100, 3.0);
-//! rec.validate().unwrap();
 //! let json = recross_obs::chrome_trace_string(&rec, 0.4167);
 //! assert!(json.starts_with("[\n"));
 //! ```

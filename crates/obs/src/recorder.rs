@@ -59,13 +59,21 @@ struct Track {
 /// interning table and the track forest, and fans every recorded event
 /// out to its attached [`EventSink`]s. [`Recorder::new`] installs a
 /// [`MemorySink`] so the classic in-memory workflow (`events()`,
-/// `validate()`, export-after-the-fact) works unchanged;
-/// [`Recorder::unbuffer`] drops it for bounded-memory streaming runs.
+/// export-after-the-fact) works unchanged; [`Recorder::unbuffer`] drops
+/// it for bounded-memory streaming runs.
+///
+/// In debug builds every recorded event is checked as it arrives: an
+/// event whose timestamp is earlier than the previous one on the same
+/// track panics, whether or not any sink retains the stream.
 pub struct Recorder {
     strings: Vec<String>,
     lookup: HashMap<String, StrId>,
     tracks: Vec<Track>,
     sinks: Vec<Box<dyn EventSink>>,
+    /// Latest timestamp recorded per track (debug builds only; not part
+    /// of [`Recorder::heap_capacity`]).
+    #[cfg(debug_assertions)]
+    last_ts: Vec<u64>,
 }
 
 impl std::fmt::Debug for Recorder {
@@ -89,13 +97,15 @@ impl Default for Recorder {
 
 impl Recorder {
     /// An empty recorder with the default in-memory sink (every event
-    /// retained; `events()` and `validate()` work).
+    /// retained; `events()` works).
     pub fn new() -> Self {
         Self {
             strings: Vec::new(),
             lookup: HashMap::new(),
             tracks: Vec::new(),
             sinks: vec![Box::new(MemorySink::new())],
+            #[cfg(debug_assertions)]
+            last_ts: Vec::new(),
         }
     }
 
@@ -227,6 +237,8 @@ impl Recorder {
         let name = self.intern(name);
         let id = TrackId(u32::try_from(self.tracks.len()).expect("track table overflow"));
         self.tracks.push(Track { name, parent });
+        #[cfg(debug_assertions)]
+        self.last_ts.push(0);
         for sink in &mut self.sinks {
             sink.on_track(id, name, parent);
         }
@@ -248,6 +260,15 @@ impl Recorder {
             (track.0 as usize) < self.tracks.len(),
             "event on unknown track"
         );
+        #[cfg(debug_assertions)]
+        {
+            let prev = std::mem::replace(&mut self.last_ts[track.0 as usize], ts);
+            assert!(
+                ts >= prev,
+                "event on track '{}' goes back in time ({ts} < {prev})",
+                self.track_name(track)
+            );
+        }
         let e = Event {
             track,
             name,
@@ -291,31 +312,6 @@ impl Recorder {
             .find_map(|s| s.as_memory())
             .map(|m| m.events())
             .unwrap_or(&[])
-    }
-
-    /// Checks the stream is well formed: every event sits on a known
-    /// track, and per-track timestamps are nondecreasing in recording
-    /// order. Returns the first violation. Only sees what a
-    /// [`MemorySink`] retained (nothing, if unbuffered).
-    pub fn validate(&self) -> Result<(), String> {
-        let mut last_ts: Vec<Option<u64>> = vec![None; self.tracks.len()];
-        for (i, e) in self.events().iter().enumerate() {
-            let t = e.track.0 as usize;
-            if t >= self.tracks.len() {
-                return Err(format!("event {i} on unknown track {t}"));
-            }
-            if let Some(prev) = last_ts[t] {
-                if e.ts < prev {
-                    return Err(format!(
-                        "event {i} on track '{}' goes back in time ({} < {prev})",
-                        self.track_name(e.track),
-                        e.ts
-                    ));
-                }
-            }
-            last_ts[t] = Some(e.ts);
-        }
-        Ok(())
     }
 }
 
@@ -383,7 +379,6 @@ mod tests {
         assert_eq!(rec.track_count(), 1);
         let tick = rec.intern("tick");
         assert_eq!(rec.string(tick), "tick");
-        assert_eq!(rec.validate(), Ok(()), "validate sees the empty stream");
         assert_eq!(rec.finish().ok(), Some(()));
     }
 
@@ -414,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_well_formed_streams() {
+    fn recording_accepts_well_formed_streams() {
         let mut rec = Recorder::new();
         let root = rec.track("root", None);
         let child = rec.track("child", Some(root));
@@ -423,20 +418,22 @@ mod tests {
         rec.instant(child, "tick", 30);
         rec.span(root, "flat", 0, 100);
         rec.counter(root, "depth", 50, 2.0);
-        assert_eq!(rec.validate(), Ok(()));
+        assert_eq!(rec.events().len(), 5);
     }
 
     #[test]
-    fn validate_rejects_time_travel_per_track() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "event on track 'a' goes back in time (9 < 10)")]
+    fn time_travel_per_track_panics_at_record_time() {
         let mut rec = Recorder::new();
+        // Streamed: no sink retains the events, the check still runs.
+        rec.unbuffer();
         let a = rec.track("a", None);
         let b = rec.track("b", None);
         // Interleaving across tracks is fine; regression within one is not.
         rec.instant(a, "x", 10);
         rec.instant(b, "y", 5);
         rec.instant(a, "z", 9);
-        let err = rec.validate().unwrap_err();
-        assert!(err.contains("back in time"), "{err}");
     }
 
     #[test]

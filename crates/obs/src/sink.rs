@@ -7,7 +7,7 @@
 //!
 //! * [`MemorySink`] — retains every event in a `Vec` (the classic
 //!   in-memory recorder; [`Recorder::new`](crate::Recorder::new) installs
-//!   one by default so `events()`/`validate()` keep working);
+//!   one by default so `events()` keeps working);
 //! * [`ChromeStreamSink`](crate::ChromeStreamSink) — formats each event
 //!   to Perfetto/Chrome-trace JSON as it arrives and flushes to an
 //!   `io::Write` in fixed-size chunks, so a long run can be traced in
@@ -138,8 +138,7 @@ impl SinkStats {
 /// The lossless in-memory sink: retains every event in recording order.
 ///
 /// [`Recorder::new`](crate::Recorder::new) installs one by default; the
-/// recorder's `events()` and `validate()` read from the first attached
-/// `MemorySink`.
+/// recorder's `events()` reads from the first attached `MemorySink`.
 #[derive(Debug, Default, Clone)]
 pub struct MemorySink {
     events: Vec<Event>,

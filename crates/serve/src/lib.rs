@@ -113,7 +113,7 @@ pub mod tenant;
 
 pub use arrival::ArrivalProcess;
 pub use batch::{Batcher, BatcherConfig, QueuePolicy, QueuedJob};
-pub use obs::{LifecycleTotals, ObsChannel, ObsReport, ObsTenant, ServeObs};
+pub use obs::{ObsChannel, ObsReport, ServeObs};
 pub use recross_obs::hist::LatencyHistogram;
 pub use report::{ChannelReport, ServeReport, TenantReport};
 pub use sim::{

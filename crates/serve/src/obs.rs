@@ -35,7 +35,8 @@
 //! [`ServeObs::unbuffer`] drops the in-memory buffer, and
 //! [`ServeObs::enable_agg`] folds the stream into [`Aggregates`] online.
 //! Call [`ServeObs::finish`] after the run to flush streamed output. The
-//! [`ObsReport`] carries the recorder's heap high-water mark and per-sink
+//! [`ObsReport`] carries the recorder's report-time capacity index
+//! (`heap_capacity`: summed container capacities, not bytes) and per-sink
 //! drop counters, so drops are never silent.
 
 use std::cell::RefCell;
@@ -45,28 +46,10 @@ use std::rc::Rc;
 use recross_dram::attribution::AttributionBuilder;
 use recross_dram::traceviz::{dram_tracks, record_commands, DramTracks};
 use recross_dram::{CommandAttribution, Cycle, DramConfig, IssuedCommand};
-use recross_obs::agg::{Aggregates, Aggregator};
+use recross_obs::agg::{Aggregates, Aggregator, Fate, TenantAggregate};
 use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, SinkStats, TrackId};
 
 use crate::report::ServeReport;
-use crate::LatencyHistogram;
-
-/// Request-fate tallies of the recorded request lanes, summed over the
-/// tenants; one count per lifecycle outcome, plus the span total the
-/// lifecycle test checks against the [`ServeReport`] counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LifecycleTotals {
-    /// Requests that completed by their deadline.
-    pub completed: u64,
-    /// Requests that completed after their deadline.
-    pub late: u64,
-    /// Requests dropped by a full queue on some channel.
-    pub queue_shed: u64,
-    /// Requests dropped by deadline shedding.
-    pub deadline_shed: u64,
-    /// Request lifecycle spans recorded (one per request).
-    pub spans: u64,
-}
 
 /// One request lane: the track and the cycle at which it frees up.
 struct Lane {
@@ -90,18 +73,6 @@ struct ChannelTracks {
     attr: Option<AttributionBuilder>,
 }
 
-/// Per-tenant lifecycle accumulators (fates + queue/service timing),
-/// filled as request spans are recorded.
-#[derive(Debug, Clone, Default)]
-struct TenantStats {
-    completed: u64,
-    late: u64,
-    queue_shed: u64,
-    deadline_shed: u64,
-    queue: LatencyHistogram,
-    service: LatencyHistogram,
-}
-
 /// The cross-layer trace recorder for one serving run.
 ///
 /// Create one per traced simulation, pass it to
@@ -115,9 +86,9 @@ pub struct ServeObs {
     trace_dram: bool,
     begun: bool,
     groups: Vec<LaneGroup>,
-    group_names: Vec<String>,
     channels: Vec<ChannelTracks>,
-    tenant_stats: Vec<TenantStats>,
+    /// One lifecycle record per lane group, fed by `request_span`.
+    tenants: Vec<TenantAggregate>,
     agg: Option<Rc<RefCell<Aggregator>>>,
 }
 
@@ -133,9 +104,8 @@ impl ServeObs {
             trace_dram: true,
             begun: false,
             groups: Vec::new(),
-            group_names: Vec::new(),
             channels: Vec::new(),
-            tenant_stats: Vec::new(),
+            tenants: Vec::new(),
             agg: None,
         }
     }
@@ -209,23 +179,9 @@ impl ServeObs {
         self.trace_dram
     }
 
-    /// The underlying recorder (e.g. for [`Recorder::validate`]).
+    /// The underlying recorder (track and event counts, sink stats).
     pub fn recorder(&self) -> &Recorder {
         &self.rec
-    }
-
-    /// Request-fate tallies from the recorded lifecycle spans; all zero
-    /// until a simulation has run.
-    pub fn lifecycle_totals(&self) -> LifecycleTotals {
-        let mut t = LifecycleTotals::default();
-        for s in &self.tenant_stats {
-            t.completed += s.completed;
-            t.late += s.late;
-            t.queue_shed += s.queue_shed;
-            t.deadline_shed += s.deadline_shed;
-        }
-        t.spans = t.completed + t.late + t.queue_shed + t.deadline_shed;
-        t
     }
 
     /// Writes the unified Perfetto/Chrome-trace timeline (open with
@@ -273,33 +229,19 @@ impl ServeObs {
                 attribution: ct.attr.as_ref().map(|b| b.snapshot(report.makespan_cycles)),
             })
             .collect();
-        let tenants = self
-            .group_names
-            .iter()
-            .zip(&self.tenant_stats)
-            .map(|(name, s)| ObsTenant {
-                name: name.clone(),
-                completed: s.completed,
-                late: s.late,
-                queue_shed: s.queue_shed,
-                deadline_shed: s.deadline_shed,
-                time_in_queue: s.queue.clone(),
-                time_in_service: s.service.clone(),
-            })
-            .collect();
-        let totals = self.lifecycle_totals();
+        let sum = |count: fn(&TenantAggregate) -> u64| self.tenants.iter().map(count).sum();
         ObsReport {
             name: report.name.clone(),
             requests: report.requests,
-            completed: totals.completed,
-            late: totals.late,
-            queue_shed: totals.queue_shed,
-            deadline_shed: totals.deadline_shed,
-            lifecycle_spans: totals.spans,
+            completed: sum(|t| t.completed),
+            late: sum(|t| t.late),
+            queue_shed: sum(|t| t.queue_shed),
+            deadline_shed: sum(|t| t.deadline_shed),
+            lifecycle_spans: sum(TenantAggregate::requests),
             makespan_cycles: report.makespan_cycles,
             heap_capacity: self.rec.heap_capacity(),
             sinks: self.rec.sink_stats(),
-            tenants,
+            tenants: self.tenants.clone(),
             channels,
         }
     }
@@ -317,8 +259,7 @@ impl ServeObs {
                 root,
                 lanes: Vec::new(),
             });
-            self.group_names.push(g.clone());
-            self.tenant_stats.push(TenantStats::default());
+            self.tenants.push(TenantAggregate::new(g));
         }
         for ch in 0..channels {
             let root = self.rec.track(&format!("channel {ch}"), None);
@@ -378,15 +319,20 @@ impl ServeObs {
 
     /// Records request `id`'s lifecycle span, labeled with its fate, on
     /// the first free lane of its tenant group (creating a lane when all
-    /// are occupied), plus sorted per-channel instants, and tallies the
-    /// fate.
+    /// are occupied), plus sorted per-channel instants, and counts it in
+    /// the group's [`TenantAggregate`]. `dispatch` is the request's first
+    /// and last dispatch cycle (`None` if it never dispatched) — the same
+    /// evidence the `dispatch` instants carry, so the report's tenant
+    /// block and `obs::agg`'s streamed aggregates agree by construction.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn request_span(
         &mut self,
         group: usize,
         id: usize,
-        fate: RequestFate,
+        fate: Fate,
         start: Cycle,
         end: Cycle,
+        dispatch: Option<(Cycle, Cycle)>,
         instants: &[(Cycle, String)],
     ) {
         let g = &mut self.groups[group];
@@ -408,56 +354,7 @@ impl ServeObs {
         for (t, label) in instants {
             self.rec.instant(lane, label, *t);
         }
-        // Per-tenant accounting, derived from exactly the evidence the
-        // trace records (fate label + dispatch instants) so the report's
-        // tenant block and `obs::agg`'s streamed aggregates agree by
-        // construction.
-        let stats = &mut self.tenant_stats[group];
-        match fate {
-            RequestFate::Completed => stats.completed += 1,
-            RequestFate::Late => stats.late += 1,
-            RequestFate::QueueShed => stats.queue_shed += 1,
-            RequestFate::DeadlineShed => stats.deadline_shed += 1,
-        }
-        let mut first = None;
-        let mut last = None;
-        for (t, label) in instants {
-            if label.starts_with("dispatch") {
-                first.get_or_insert(*t);
-                last = Some(*t);
-            }
-        }
-        if let Some(fd) = first {
-            stats.queue.record(fd.saturating_sub(start));
-        }
-        if let Some(ld) = last {
-            stats.service.record(end.saturating_sub(ld));
-        }
-    }
-}
-
-/// How one request's lifecycle resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RequestFate {
-    /// Completed by its deadline.
-    Completed,
-    /// Completed after its deadline.
-    Late,
-    /// Dropped by a full queue on some channel.
-    QueueShed,
-    /// Dropped by deadline shedding.
-    DeadlineShed,
-}
-
-impl RequestFate {
-    /// Lifecycle-span label.
-    fn label(self) -> &'static str {
-        match self {
-            RequestFate::Completed => "completed",
-            RequestFate::Late => "late",
-            RequestFate::QueueShed => "queue-shed",
-            RequestFate::DeadlineShed => "deadline-shed",
-        }
+        self.tenants[group].record(fate, start, end, dispatch);
     }
 }
 
@@ -486,56 +383,6 @@ pub struct ObsChannel {
     pub attribution: Option<CommandAttribution>,
 }
 
-/// Per-tenant slice of an [`ObsReport`]: the four fate counters (which
-/// partition the tenant's requests exactly) and the time-in-queue /
-/// time-in-service histograms. Timing definitions match
-/// [`recross_obs::agg`]: time-in-queue is first dispatch minus arrival,
-/// time-in-service is lifecycle end minus last dispatch, and requests
-/// that never dispatched contribute to counters only.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ObsTenant {
-    /// Tenant class name (`requests` for single-class runs).
-    pub name: String,
-    /// Requests that completed by their deadline.
-    pub completed: u64,
-    /// Requests that completed after their deadline.
-    pub late: u64,
-    /// Requests dropped by a full queue.
-    pub queue_shed: u64,
-    /// Requests dropped by deadline shedding.
-    pub deadline_shed: u64,
-    /// First-dispatch minus arrival, per dispatched request (cycles).
-    pub time_in_queue: LatencyHistogram,
-    /// Lifecycle end minus last dispatch, per dispatched request
-    /// (cycles).
-    pub time_in_service: LatencyHistogram,
-}
-
-impl ObsTenant {
-    /// Total requests across the four fates.
-    pub fn requests(&self) -> u64 {
-        self.completed + self.late + self.queue_shed + self.deadline_shed
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"name\":{},\"requests\":{},\"completed\":{},\"late\":{},",
-                "\"queue_shed\":{},\"deadline_shed\":{},",
-                "\"time_in_queue\":{},\"time_in_service\":{}}}"
-            ),
-            json_string(&self.name),
-            self.requests(),
-            self.completed,
-            self.late,
-            self.queue_shed,
-            self.deadline_shed,
-            self.time_in_queue.summary_json(),
-            self.time_in_service.summary_json()
-        )
-    }
-}
-
 /// Deterministic bottleneck-attribution summary of one traced serving
 /// run — the machine-readable counterpart of the Perfetto timeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -562,9 +409,15 @@ pub struct ObsReport {
     pub channels: Vec<ObsChannel>,
     /// Per-tenant fate counters and queue/service histograms, in tenant
     /// declaration order. Fate counters sum to `requests` across tenants.
-    pub tenants: Vec<ObsTenant>,
-    /// Recorder heap high-water mark in bytes (string table, track
-    /// forest, and all attached sinks) at report time.
+    /// Timing definitions are [`recross_obs::agg`]'s: time-in-queue is
+    /// first dispatch minus arrival, time-in-service is lifecycle end
+    /// minus last dispatch, and requests that never dispatched feed the
+    /// counters only.
+    pub tenants: Vec<TenantAggregate>,
+    /// [`Recorder::heap_capacity`](recross_obs::Recorder::heap_capacity)
+    /// at report time: a sum of `Vec` and table capacities (in entries),
+    /// string bytes and histogram bucket counts over the recorder and its
+    /// sinks. It is a size index, neither bytes nor a high-water mark.
     pub heap_capacity: usize,
     /// Per-sink drop counters and heap footprints at report time. Empty
     /// for an unbuffered recorder with no sinks attached.
@@ -631,6 +484,7 @@ impl ObsReport {
 mod tests {
     use super::*;
     use crate::report::ChannelReport;
+    use crate::LatencyHistogram;
 
     /// Minimal ServeReport consistent with a hand-driven ServeObs.
     fn sample_report(channels: usize) -> ServeReport {
@@ -668,7 +522,6 @@ mod tests {
         let banks = DramConfig::ddr5_4800().topology.banks_per_channel() as usize;
         // 2 tenant roots + per channel: root + server + depth + banks.
         assert_eq!(obs.recorder().track_count(), 2 + 2 * (3 + banks));
-        assert_eq!(obs.recorder().validate(), Ok(()));
     }
 
     #[test]
@@ -687,14 +540,16 @@ mod tests {
         obs.set_dram_trace(false);
         obs.begin(1, &["requests".to_string()]);
         // Two overlapping requests need two lanes; a third starting after
-        // the first ends reuses lane 0.
-        let done = RequestFate::Completed;
-        obs.request_span(0, 0, done, 0, 100, &[]);
-        obs.request_span(0, 1, done, 50, 150, &[(60, "dispatch ch0".into())]);
-        obs.request_span(0, 2, done, 120, 200, &[]);
+        // the first ends reuses lane 0. Recording checks each lane's
+        // timestamps never go back.
+        let done = Fate::Completed;
+        let dispatch = [(60, "dispatch ch0".to_string())];
+        obs.request_span(0, 0, done, 0, 100, None, &[]);
+        obs.request_span(0, 1, done, 50, 150, Some((60, 60)), &dispatch);
+        obs.request_span(0, 2, done, 120, 200, None, &[]);
         assert_eq!(obs.groups[0].lanes.len(), 2);
-        assert_eq!(obs.lifecycle_totals().spans, 3);
-        assert_eq!(obs.recorder().validate(), Ok(()));
+        let report = obs.obs_report(&sample_report(obs.channels.len()));
+        assert_eq!((report.lifecycle_spans, report.completed), (3, 3));
     }
 
     #[test]
@@ -719,14 +574,11 @@ mod tests {
                 deadline_shed: 0,
                 attribution: None,
             }],
-            tenants: vec![ObsTenant {
-                name: "requests".into(),
+            tenants: vec![TenantAggregate {
                 completed: 2,
                 late: 1,
                 queue_shed: 1,
-                deadline_shed: 0,
-                time_in_queue: LatencyHistogram::new(),
-                time_in_service: LatencyHistogram::new(),
+                ..TenantAggregate::new("requests")
             }],
             heap_capacity: 4096,
             sinks: vec![SinkStats {
@@ -758,10 +610,11 @@ mod tests {
         // Tenant 0: dispatched once at 40, completes at 100 → queue 40,
         // service 60. Tenant 1: shed without ever dispatching.
         let dispatch = [(40, "dispatch ch0".to_string())];
-        obs.request_span(0, 0, RequestFate::Completed, 0, 100, &dispatch);
-        obs.request_span(1, 1, RequestFate::QueueShed, 10, 10, &[]);
+        obs.request_span(0, 0, Fate::Completed, 0, 100, Some((40, 40)), &dispatch);
+        obs.request_span(1, 1, Fate::QueueShed, 10, 10, None, &[]);
         let report = obs.obs_report(&sample_report(obs.channels.len()));
         assert_eq!(report.tenants.len(), 2);
+        assert_eq!(report.tenants[1].name, "batch");
         let rt = &report.tenants[0];
         assert_eq!((rt.completed, rt.requests()), (1, 1));
         assert_eq!(rt.time_in_queue.quantile(1.0), 40);
@@ -787,7 +640,7 @@ mod tests {
         obs.enable_agg();
         obs.begin(1, &["requests".to_string()]);
         let dispatch = [(40, "dispatch ch0".to_string())];
-        obs.request_span(0, 0, RequestFate::Completed, 0, 100, &dispatch);
+        obs.request_span(0, 0, Fate::Completed, 0, 100, Some((40, 40)), &dispatch);
         obs.finish().unwrap();
         let bytes = out.contents();
         assert!(bytes.starts_with("[\n"), "not a chrome trace: {bytes}");
@@ -795,6 +648,9 @@ mod tests {
         let agg = obs.aggregates().unwrap();
         assert_eq!(agg.tenants.len(), 1);
         assert_eq!(agg.tenants[0].completed, 1);
+        // The streamed aggregate and the report's tenant block are one record.
+        let report = obs.obs_report(&sample_report(obs.channels.len()));
+        assert_eq!(agg.tenants, report.tenants);
         // Unbuffered: no memory sink retained, so no replayable events.
         assert!(obs.recorder().events().is_empty());
     }

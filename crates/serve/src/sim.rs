@@ -32,10 +32,11 @@ use recross_dram::Cycle;
 use recross_nmp::accel::EmbeddingAccelerator;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::{ServiceSession, SessionStats};
+use recross_obs::agg::Fate;
 use recross_workload::{Batch, Trace};
 
 use crate::batch::{Batcher, BatcherConfig, QueuedJob};
-use crate::obs::{RequestFate, ServeObs};
+use crate::obs::ServeObs;
 use crate::report::{ChannelReport, ServeReport, TenantReport};
 use crate::tenant::{TenantMix, TenantRequest};
 
@@ -217,14 +218,14 @@ fn simulate_channel(
 /// (its `arrival` when no channel held a part), or `Err` with how it was
 /// dropped; a queue drop on any channel outranks a deadline drop on
 /// another.
-fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle, RequestFate> {
+fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle, Fate> {
     let mut done = Ok(arrival);
     for o in outcomes {
         done = match (done, o.completions[i]) {
             (Ok(d), Some(c)) => Ok(d.max(c)),
-            (Err(RequestFate::QueueShed), _) | (_, Some(_)) => done,
-            (_, None) if o.expired_flags[i] => Err(RequestFate::DeadlineShed),
-            (_, None) => Err(RequestFate::QueueShed),
+            (Err(Fate::QueueShed), _) | (_, Some(_)) => done,
+            (_, None) if o.expired_flags[i] => Err(Fate::DeadlineShed),
+            (_, None) => Err(Fate::QueueShed),
         };
     }
     done
@@ -233,7 +234,8 @@ fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle
 /// Replays the per-request outcomes into `obs` as lifecycle spans: one
 /// span per request on its tenant group's lanes, from arrival to the
 /// request's last resolution event, labeled with its fate and annotated
-/// with per-channel dispatch/drop instants.
+/// with per-channel dispatch/drop instants; its first and last dispatch
+/// cycles feed the tenant's queue/service timing.
 fn record_lifecycles(
     obs: &mut ServeObs,
     requests: &[TenantRequest],
@@ -242,6 +244,7 @@ fn record_lifecycles(
 ) {
     for (i, req) in requests.iter().enumerate() {
         let mut end = req.arrival;
+        let mut dispatch: Option<(Cycle, Cycle)> = None;
         let mut instants: Vec<(Cycle, String)> = Vec::new();
         for (ch, o) in outcomes.iter().enumerate() {
             match o.completions[i] {
@@ -249,6 +252,7 @@ fn record_lifecycles(
                     end = end.max(c);
                     if let Some(td) = o.dispatched_at[i] {
                         instants.push((td, format!("dispatch ch{ch}")));
+                        dispatch = Some(dispatch.map_or((td, td), |(f, l)| (f.min(td), l.max(td))));
                     }
                 }
                 None => {
@@ -264,13 +268,13 @@ fn record_lifecycles(
             }
         }
         let fate = match merged(outcomes, i, req.arrival) {
-            Ok(d) if d <= req.deadline => RequestFate::Completed,
-            Ok(_) => RequestFate::Late,
+            Ok(d) if d <= req.deadline => Fate::Completed,
+            Ok(_) => Fate::Late,
             Err(drop) => drop,
         };
         instants.sort_by_key(|&(t, _)| t);
         let group = if mix.is_some() { req.tenant } else { 0 };
-        obs.request_span(group, i, fate, req.arrival, end, &instants);
+        obs.request_span(group, i, fate, req.arrival, end, dispatch, &instants);
     }
 }
 
@@ -349,7 +353,6 @@ fn run_simulation(
     }
     if let Some(o) = obs {
         record_lifecycles(o, requests, mix, &outcomes);
-        debug_assert_eq!(o.recorder().validate(), Ok(()));
     }
     ServeReport::from_outcomes(name, requests, mix, cycles_per_sec, &outcomes)
 }
@@ -574,7 +577,7 @@ impl ServeReport {
                     shed_requests += 1;
                     if let Some(t) = tenant {
                         t.requests += 1;
-                        if drop == RequestFate::QueueShed {
+                        if drop == Fate::QueueShed {
                             t.queue_shed += 1;
                         } else {
                             t.deadline_shed += 1;
@@ -883,8 +886,9 @@ mod tests {
     /// byte-identical `ServeReport` to the untraced run on the same seed,
     /// the recorded request-lifecycle spans partition exactly into
     /// completed + late + queue-shed + deadline-shed matching the report's
-    /// counters, the timeline validates (balanced, monotone per track),
-    /// and both exports are byte-identical across reruns.
+    /// counters, the timeline carries DRAM-level spans (its per-track
+    /// order is checked as it is recorded), and both exports are
+    /// byte-identical across reruns.
     #[test]
     fn traced_run_matches_untraced_and_lifecycle_spans_balance() {
         let (trace, plan, mix, requests, cps) = tenant_setup(96, 4_800_000.0, 7);
@@ -934,36 +938,35 @@ mod tests {
 
         // One lifecycle span per request; fates partition exactly and
         // agree with the report's own accounting.
-        let t = obs.lifecycle_totals();
-        assert_eq!(t.spans, traced.requests);
+        let summary = obs.obs_report(&traced);
+        assert_eq!(summary.lifecycle_spans, traced.requests);
         assert_eq!(
-            t.completed + t.late + t.queue_shed + t.deadline_shed,
-            t.spans
+            summary.completed + summary.late + summary.queue_shed + summary.deadline_shed,
+            summary.lifecycle_spans
         );
-        assert_eq!(t.queue_shed + t.deadline_shed, traced.shed);
+        assert_eq!(summary.queue_shed + summary.deadline_shed, traced.shed);
         assert_eq!(
-            t.completed,
+            summary.completed,
             traced.tenants.iter().map(|x| x.completed).sum()
         );
-        assert_eq!(t.late, traced.tenants.iter().map(|x| x.missed).sum());
+        assert_eq!(summary.late, traced.tenants.iter().map(|x| x.missed).sum());
         assert_eq!(
-            t.queue_shed,
+            summary.queue_shed,
             traced.tenants.iter().map(|x| x.queue_shed).sum()
         );
         assert_eq!(
-            t.deadline_shed,
+            summary.deadline_shed,
             traced.tenants.iter().map(|x| x.deadline_shed).sum()
         );
         // This configuration exercises both drop paths and real traffic.
         assert!(
-            t.queue_shed > 0,
+            summary.queue_shed > 0,
             "queue_depth=32 should tail-drop under overload"
         );
-        assert!(t.deadline_shed > 0, "EDF shedding should fire");
-        assert!(t.completed > 0);
+        assert!(summary.deadline_shed > 0, "EDF shedding should fire");
+        assert!(summary.completed > 0);
 
-        // The timeline is well-formed and carries DRAM-level spans.
-        assert_eq!(obs.recorder().validate(), Ok(()));
+        // The timeline carries DRAM-level spans.
         let perfetto = obs.chrome_trace_string();
         assert!(perfetto.contains("\"ph\":\"X\""));
         assert!(perfetto.contains("rank 0 / bg 0 / bank 0"));
@@ -971,7 +974,6 @@ mod tests {
         assert!(perfetto.contains("cache "));
 
         // ObsReport is consistent with the ServeReport…
-        let summary = obs.obs_report(&traced);
         assert_eq!(summary.requests, traced.requests);
         for (oc, cr) in summary.channels.iter().zip(&traced.channels) {
             assert_eq!(oc.busy_fraction, cr.utilization);
@@ -1045,17 +1047,7 @@ mod tests {
         // can only meet or exceed the report's makespan (DRAM command
         // spans widen past the last completion, as with attribution).
         assert!(live.makespan_cycles >= report.makespan_cycles);
-        let summary = obs.obs_report(&report);
-        assert_eq!(live.tenants.len(), summary.tenants.len());
-        for (a, t) in live.tenants.iter().zip(&summary.tenants) {
-            assert_eq!(a.name, t.name);
-            assert_eq!(a.completed, t.completed);
-            assert_eq!(a.late, t.late);
-            assert_eq!(a.queue_shed, t.queue_shed);
-            assert_eq!(a.deadline_shed, t.deadline_shed);
-            assert_eq!(a.time_in_queue, t.time_in_queue);
-            assert_eq!(a.time_in_service, t.time_in_service);
-        }
+        assert_eq!(live.tenants, obs.obs_report(&report).tenants);
         for (a, r) in live.tenants.iter().zip(&report.tenants) {
             assert_eq!(a.completed, r.completed);
             assert_eq!(a.late, r.missed);
@@ -1100,8 +1092,8 @@ mod tests {
             &mut obs,
         );
         assert_eq!(traced.to_json(), plain.to_json());
-        assert_eq!(obs.lifecycle_totals().spans, traced.requests);
         let summary = obs.obs_report(&traced);
+        assert_eq!(summary.lifecycle_spans, traced.requests);
         assert!(summary.channels.iter().all(|c| c.attribution.is_none()));
         assert!(!obs.chrome_trace_string().contains("bank 0"));
     }

@@ -81,22 +81,6 @@ impl AccessDistribution {
     }
 }
 
-/// The smallest fraction of rows capturing at least `target` of all accesses
-/// (bisection over the concave CDF). Used as a "hot set size" statistic.
-pub fn hot_fraction(dist: &AccessDistribution, target: f64) -> f64 {
-    let target = target.clamp(0.0, 1.0);
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if dist.cdf(mid) >= target {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    hi
-}
-
 /// Empirical cumulative-access curve measured from raw per-row hit counts
 /// (rows sorted hottest-first), e.g. collected during the training phase as
 /// the paper's profiling step does (§4.3 "Data Characterization").
@@ -188,14 +172,6 @@ mod tests {
         // the accesses, for the skewed tables.
         let d = AccessDistribution::zipf(10_000_000, 1.0);
         assert!(d.cdf(0.2) > 0.85);
-        assert!(hot_fraction(&d, 0.8) < 0.2);
-    }
-
-    #[test]
-    fn hot_fraction_inverse_of_cdf() {
-        let d = AccessDistribution::zipf(1_000_000, 0.8);
-        let p = hot_fraction(&d, 0.7);
-        assert!((d.cdf(p) - 0.7).abs() < 1e-3);
     }
 
     #[test]

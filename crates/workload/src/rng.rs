@@ -109,12 +109,6 @@ impl Xoshiro256pp {
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
-
-    /// Derives an independent child generator; used to give each embedding
-    /// table its own stream so traces are stable under reordering.
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -184,13 +178,5 @@ mod tests {
         let mean = sum as f64 / n as f64;
         let expect = (bound - 1) as f64 / 2.0;
         assert!((mean - expect).abs() < 2.0, "mean {mean} vs {expect}");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Xoshiro256pp::seed_from_u64(3);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }
