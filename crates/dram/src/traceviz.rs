@@ -9,6 +9,8 @@
 //! export the recorder with `recross_obs::write_chrome_trace`
 //! (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
 
+use std::fmt::Write;
+
 use recross_obs::{Recorder, TrackId};
 
 use crate::command::{CommandKind, DataScope, IssuedCommand};
@@ -36,6 +38,8 @@ pub struct DramTracks {
     pe_rank: Vec<Option<TrackId>>,
     pe_group: Vec<Option<TrackId>>,
     pe_bank: Vec<Option<TrackId>>,
+    /// The command span name being formatted, reused for every command.
+    name: String,
 }
 
 /// Creates the per-bank command tracks for one channel under `parent`,
@@ -60,16 +64,18 @@ pub fn dram_tracks(rec: &mut Recorder, parent: TrackId, cfg: &DramConfig) -> Dra
         pe_rank: vec![None; topo.ranks as usize],
         pe_group: vec![None; (topo.ranks * topo.bank_groups) as usize],
         pe_bank: vec![None; topo.banks_per_channel() as usize],
+        name: String::new(),
     }
 }
 
+/// The region's PE/DQ track, created (and only then named) on first use.
 fn region_track(
     rec: &mut Recorder,
     parent: TrackId,
     slot: &mut Option<TrackId>,
-    name: &str,
+    name: impl FnOnce() -> String,
 ) -> TrackId {
-    *slot.get_or_insert_with(|| rec.track(name, Some(parent)))
+    *slot.get_or_insert_with(|| rec.track(&name(), Some(parent)))
 }
 
 /// Records `trace` onto the channel's tracks, shifting every command by
@@ -92,32 +98,34 @@ pub fn record_commands(
         let flat = a.flat_bank(&topo) as usize;
         let start = offset + ic.cycle;
         let end = start + display_duration(ic.command.kind, &t);
-        let name = format!("{} r{} c{}", ic.command.kind, a.row, a.col_byte);
-        rec.span(tracks.banks[flat], &name, start, end);
+        tracks.name.clear();
+        write!(
+            tracks.name,
+            "{} r{} c{}",
+            ic.command.kind, a.row, a.col_byte
+        )
+        .expect("writing to a String cannot fail");
+        rec.span(tracks.banks[flat], &tracks.name, start, end);
         if ic.command.kind == CommandKind::Rd {
             let burst_start = start + t.t_cl;
             let burst_end = burst_start + t.t_bl;
             let track = match ic.command.data_scope {
-                DataScope::Bank => region_track(
-                    rec,
-                    tracks.parent,
-                    &mut tracks.pe_bank[flat],
-                    &format!("PE bank r{} / g{} / b{}", a.rank, a.bank_group, a.bank),
-                ),
+                DataScope::Bank => {
+                    region_track(rec, tracks.parent, &mut tracks.pe_bank[flat], || {
+                        format!("PE bank r{} / g{} / b{}", a.rank, a.bank_group, a.bank)
+                    })
+                }
                 DataScope::BankGroup => {
                     let g = a.flat_bank_group(&topo) as usize;
-                    region_track(
-                        rec,
-                        tracks.parent,
-                        &mut tracks.pe_group[g],
-                        &format!("PE bg r{} / g{}", a.rank, a.bank_group),
-                    )
+                    region_track(rec, tracks.parent, &mut tracks.pe_group[g], || {
+                        format!("PE bg r{} / g{}", a.rank, a.bank_group)
+                    })
                 }
                 DataScope::Rank => region_track(
                     rec,
                     tracks.parent,
                     &mut tracks.pe_rank[a.rank as usize],
-                    &format!("PE/DQ rank {}", a.rank),
+                    || format!("PE/DQ rank {}", a.rank),
                 ),
             };
             rec.span(track, "burst", burst_start, burst_end);

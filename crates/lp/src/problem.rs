@@ -98,11 +98,6 @@ impl LpProblem {
         }
     }
 
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
     /// Sets the objective coefficient of variable `var`.
     ///
     /// # Panics
@@ -170,7 +165,7 @@ mod tests {
     fn builder_counts() {
         let mut p = LpProblem::new(3);
         p.add_constraint(vec![(0, 1.0)], Relation::Le, 1.0);
-        assert_eq!(p.num_vars(), 3);
+        assert_eq!(p.num_vars, 3);
         assert_eq!(p.constraints.len(), 1);
     }
 }

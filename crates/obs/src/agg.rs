@@ -327,6 +327,9 @@ pub struct Aggregator {
     open: Vec<Option<OpenRequest>>,
     spans: BTreeMap<String, LatencyHistogram>,
     gauges: BTreeMap<String, LatencyHistogram>,
+    /// The `<root>/<counter>` key being looked up, reused for every
+    /// counter sample; not part of [`EventSink::heap_capacity`].
+    gauge_key: String,
     events: u64,
     makespan: u64,
 }
@@ -343,9 +346,17 @@ impl Aggregator {
         }
     }
 
+    /// Records `v` under `key`, allocating the key only on first sight.
+    fn record_keyed(map: &mut BTreeMap<String, LatencyHistogram>, key: &str, v: u64) {
+        match map.get_mut(key) {
+            Some(h) => h.record(v),
+            None => map.entry(key.to_string()).or_default().record(v),
+        }
+    }
+
     fn record_span_class(&mut self, name_idx: u32, dur: u64) {
         let class = span_class(&self.strings[name_idx as usize]);
-        self.spans.entry(class.to_string()).or_default().record(dur);
+        Self::record_keyed(&mut self.spans, class, dur);
     }
 
     /// Freezes the current state into comparable [`Aggregates`]
@@ -472,16 +483,16 @@ impl EventSink for Aggregator {
             }
             EventKind::Counter { value } => {
                 let root_name = self.tracks[info.root as usize].name as usize;
-                let key = format!(
-                    "{}/{}",
-                    self.strings[root_name], self.strings[e.name.0 as usize]
-                );
+                self.gauge_key.clear();
+                self.gauge_key.push_str(&self.strings[root_name]);
+                self.gauge_key.push('/');
+                self.gauge_key.push_str(&self.strings[e.name.0 as usize]);
                 let v = if value.is_finite() && value > 0.0 {
                     value.round() as u64
                 } else {
                     0
                 };
-                self.gauges.entry(key).or_default().record(v);
+                Self::record_keyed(&mut self.gauges, &self.gauge_key, v);
             }
         }
     }

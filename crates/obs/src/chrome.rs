@@ -5,8 +5,12 @@
 //! (`tid` = creation order within the subtree, root itself is `tid 0`),
 //! and `process_name` / `thread_name` / sort-index metadata records the
 //! human-readable hierarchy. Timestamps are converted from integer cycles
-//! to microseconds with fixed `{:.3}` formatting, so export is
-//! byte-deterministic.
+//! to microseconds and printed with exactly three decimals, so export is
+//! byte-deterministic. The `f64` is rounded to whole nanoseconds by exact
+//! integer arithmetic on its bits and the digits are written by hand;
+//! only a value exactly halfway between two nanoseconds goes through
+//! `{:.3}`. Every byte is therefore what `{:.3}` prints for the same
+//! `f64`.
 //!
 //! There is exactly **one** formatter: [`ChromeStreamSink`], an
 //! [`EventSink`] that renders each event to JSON as it arrives and
@@ -19,12 +23,16 @@
 //!
 //! The sink's resident state is bounded by the *table* sizes (its own
 //! pre-escaped copy of the interning table, per-track placements) plus
-//! the fixed flush chunk — never by the number of events, which is what
-//! makes long-run tracing viable.
+//! the fixed flush chunk and one reused entry buffer — never by the
+//! number of events, which is what makes long-run tracing viable. Each
+//! entry is rendered into that buffer and copied into the chunk whole,
+//! with no allocation per event.
 
+use std::cmp::Ordering;
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
-use crate::json::{fmt_f64, json_string};
+use crate::json::{json_string, push_f64};
 use crate::recorder::{Event, EventKind, Recorder, StrId, TrackId};
 use crate::sink::EventSink;
 
@@ -33,9 +41,69 @@ use crate::sink::EventSink;
 /// one entry beyond it before a flush).
 pub const STREAM_CHUNK: usize = 64 * 1024;
 
-/// Microseconds with fixed three-decimal formatting.
-fn us(cycles: u64, ns_per_cycle: f64) -> String {
-    format!("{:.3}", cycles as f64 * ns_per_cycle / 1_000.0)
+/// Appends the decimal digits of `v`.
+fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+}
+
+/// `v` in thousandths, rounded to nearest, or `None` when `v * 1000` is
+/// exactly halfway between two integers (and for `v` negative, not
+/// finite or `9e12` or more).
+///
+/// The rounding is exact: in that range `v` is `mant / 2^shift` with
+/// integers `mant < 2^53` and `shift >= 10`, so `v * 1000` is
+/// `mant * 1000 / 2^shift` and integer division rounds it. `{:.3}` also
+/// rounds the exact binary value, so both agree wherever the value is
+/// not a tie; ties are left to the formatter's own rule.
+fn thousandths(v: f64) -> Option<u64> {
+    if !(v.is_sign_positive() && v < 9.0e12) {
+        return None;
+    }
+    let bits = v.to_bits();
+    let biased = (bits >> 52) as i64;
+    let mant = bits & ((1 << 52) - 1) | if biased == 0 { 0 } else { 1 << 52 };
+    let shift = 1075 - biased.max(1);
+    if shift >= 64 {
+        // `mant * 1000 < 2^63`, so `v * 1000 < 1/2`.
+        return Some(0);
+    }
+    let scaled = mant * 1000;
+    let (q, rem, half) = (
+        scaled >> shift,
+        scaled & ((1 << shift) - 1),
+        1 << (shift - 1),
+    );
+    match rem.cmp(&half) {
+        Ordering::Less => Some(q),
+        Ordering::Greater => Some(q + 1),
+        Ordering::Equal => None,
+    }
+}
+
+/// Appends `v` with three decimals, byte-identical to `{:.3}`: the
+/// digits of [`thousandths`], or the formatter where that declines.
+fn push_fixed3(out: &mut String, v: f64) {
+    match thousandths(v) {
+        Some(n) => {
+            push_uint(out, n / 1000);
+            let frac = n % 1000;
+            out.push('.');
+            out.push((b'0' + (frac / 100) as u8) as char);
+            out.push((b'0' + (frac / 10 % 10) as u8) as char);
+            out.push((b'0' + (frac % 10) as u8) as char);
+        }
+        None => write!(out, "{v:.3}").expect("writing to a String cannot fail"),
+    }
 }
 
 /// An [`EventSink`] that renders the stream as a Chrome-trace JSON array
@@ -63,6 +131,9 @@ pub struct ChromeStreamSink<W: Write> {
     threads_in_root: Vec<u32>,
     roots: u32,
     buf: String,
+    /// The entry being rendered, reused for every entry; not part of
+    /// [`EventSink::heap_capacity`].
+    line: String,
     first: bool,
     finished: bool,
     err: Option<io::Error>,
@@ -102,6 +173,7 @@ impl<W: Write> ChromeStreamSink<W> {
             threads_in_root: Vec::new(),
             roots: 0,
             buf: String::from("[\n"),
+            line: String::new(),
             first: true,
             finished: false,
             err: None,
@@ -123,7 +195,17 @@ impl<W: Write> ChromeStreamSink<W> {
         self.buf.clear();
     }
 
-    fn push_entry(&mut self, entry: &str) {
+    /// Renders `args` into the line buffer and pushes it as one entry.
+    fn push_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        self.line.clear();
+        self.line
+            .write_fmt(args)
+            .expect("writing to a String cannot fail");
+        self.push_line();
+    }
+
+    /// Copies the rendered entry in the line buffer into the chunk whole.
+    fn push_line(&mut self) {
         if self.err.is_some() {
             return;
         }
@@ -132,7 +214,7 @@ impl<W: Write> ChromeStreamSink<W> {
         } else {
             self.buf.push_str(",\n");
         }
-        self.buf.push_str(entry);
+        self.buf.push_str(&self.line);
         if self.buf.len() >= self.chunk {
             self.flush_buf();
         }
@@ -174,49 +256,63 @@ impl<W: Write> EventSink for ChromeStreamSink<W> {
             return;
         }
         let (pid, tid) = self.place[e.track.0 as usize];
-        let name = &self.names[e.name.0 as usize];
-        let ts = us(e.ts, self.ns_per_cycle);
-        let entry = match e.kind {
+        let line = &mut self.line;
+        line.clear();
+        line.push_str("{\"name\":");
+        line.push_str(&self.names[e.name.0 as usize]);
+        line.push_str(match e.kind {
+            EventKind::Span { .. } => ",\"ph\":\"X\",\"pid\":",
+            EventKind::Instant => ",\"ph\":\"i\",\"s\":\"t\",\"pid\":",
+            EventKind::Counter { .. } => ",\"ph\":\"C\",\"pid\":",
+        });
+        push_uint(line, pid.into());
+        line.push_str(",\"tid\":");
+        push_uint(line, tid.into());
+        line.push_str(",\"ts\":");
+        push_fixed3(line, e.ts as f64 * self.ns_per_cycle / 1_000.0);
+        match e.kind {
             EventKind::Span { dur } => {
                 // Zero-length spans are widened to 1 ns so they stay
                 // visible in the viewer.
-                let dur_us = (dur as f64 * self.ns_per_cycle / 1_000.0).max(0.001);
-                format!(
-                    "{{\"name\":{name},\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur_us:.3}}}"
-                )
+                line.push_str(",\"dur\":");
+                push_fixed3(line, (dur as f64 * self.ns_per_cycle / 1_000.0).max(0.001));
+                line.push('}');
             }
-            EventKind::Instant => format!(
-                "{{\"name\":{name},\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}}}"
-            ),
-            EventKind::Counter { value } => format!(
-                "{{\"name\":{name},\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"args\":{{\"value\":{}}}}}",
-                fmt_f64(value)
-            ),
-        };
-        self.push_entry(&entry);
+            EventKind::Instant => line.push('}'),
+            EventKind::Counter { value } => {
+                line.push_str(",\"args\":{\"value\":");
+                push_f64(line, value);
+                line.push_str("}}");
+            }
+        }
+        self.push_line();
     }
 
     fn finish(&mut self) -> io::Result<()> {
         if !self.finished {
             self.finished = true;
+            // Taken out for the loop, so an entry can borrow a name while
+            // `push_fmt` borrows the sink.
+            let names = std::mem::take(&mut self.names);
             for t in 0..self.place.len() {
                 let (pid, tid) = self.place[t];
-                let name = self.names[self.track_names[t] as usize].clone();
+                let name = &names[self.track_names[t] as usize];
                 if tid == 0 {
-                    self.push_entry(&format!(
+                    self.push_fmt(format_args!(
                         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":{name}}}}}"
                     ));
-                    self.push_entry(&format!(
+                    self.push_fmt(format_args!(
                         "{{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"sort_index\":{pid}}}}}"
                     ));
                 }
-                self.push_entry(&format!(
+                self.push_fmt(format_args!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":{name}}}}}"
                 ));
-                self.push_entry(&format!(
+                self.push_fmt(format_args!(
                     "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"
                 ));
             }
+            self.names = names;
             self.buf.push_str("\n]");
             self.flush_buf();
             if self.err.is_none() {
@@ -425,6 +521,82 @@ mod tests {
         // 1000 cycles at 0.5 ns/cycle = 0.5 µs.
         let json = chrome_trace_string(&rec, 0.5);
         assert!(json.contains("\"ts\":0.500,\"dur\":1.000"), "{json}");
+    }
+
+    /// `push_fixed3`'s text for `cycles` at `ns_per_cycle`, computed as
+    /// the sink computes a timestamp.
+    fn fixed3(cycles: u64, ns_per_cycle: f64, line: &mut String) -> &str {
+        line.clear();
+        push_fixed3(line, cycles as f64 * ns_per_cycle / 1_000.0);
+        line
+    }
+
+    /// DDR5-4800 and DDR4-3200 `ns_per_cycle` (2400 and 1600 MHz).
+    const CLOCKS: [f64; 2] = [1_000.0 / 2_400.0, 1_000.0 / 1_600.0];
+
+    #[test]
+    fn fixed_point_matches_the_formatter_below_two_million_cycles() {
+        let mut line = String::new();
+        for ns in CLOCKS {
+            for c in 0..2_000_000u64 {
+                let v = c as f64 * ns / 1_000.0;
+                assert_eq!(fixed3(c, ns, &mut line), format!("{v:.3}"), "cycle {c}");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_point_matches_the_formatter_on_seeded_cycle_counts() {
+        use recross_workload::rng::Xoshiro256pp;
+        let mut rng = Xoshiro256pp::seed_from_u64(0x7e57);
+        let mut line = String::new();
+        for i in 0..1_000_000 {
+            let ns = CLOCKS[i % 2];
+            let c = rng.next_u64() >> 24; // below 2^40
+            let v = c as f64 * ns / 1_000.0;
+            assert_eq!(fixed3(c, ns, &mut line), format!("{v:.3}"), "cycle {c}");
+        }
+    }
+
+    #[test]
+    fn exact_ties_take_the_formatter() {
+        // Cycle 150 at DDR5-4800 is 62.5 ns: 0.0625 µs, exactly half a
+        // nanosecond between two three-decimal values.
+        let v = 150.0 * CLOCKS[0] / 1_000.0;
+        assert_eq!(v * 1000.0, 62.5);
+        assert_eq!(thousandths(v), None);
+        let mut line = String::new();
+        assert_eq!(fixed3(150, CLOCKS[0], &mut line), format!("{v:.3}"));
+        assert_eq!(thousandths(0.0), Some(0));
+        assert_eq!(thousandths(0.0004999), Some(0));
+        assert_eq!(thousandths(0.0005001), Some(1));
+        assert_eq!(thousandths(-0.0), None, "the formatter prints -0.000");
+        assert_eq!(thousandths(f64::NAN), None);
+        assert_eq!(thousandths(f64::MIN_POSITIVE / 4.0), Some(0), "subnormal");
+    }
+
+    /// The chunk buffer's capacity after streaming the sample forest, and
+    /// so [`ChromeStreamSink::heap_capacity`], follows from entries being
+    /// copied into it whole; the figure is in every traced report.
+    #[test]
+    fn heap_capacity_is_pinned_on_the_sample_forest() {
+        for (chunk, recording, finished) in [(STREAM_CHUNK, 647, 2279), (64, 239, 239)] {
+            let mut rec = Recorder::new();
+            rec.unbuffer();
+            rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
+                SharedWriter::new(),
+                0.4167,
+                chunk,
+            )));
+            record_sample(&mut rec);
+            assert_eq!(
+                rec.sink_stats()[0].heap_capacity,
+                recording,
+                "chunk {chunk}"
+            );
+            rec.finish().unwrap();
+            assert_eq!(rec.sink_stats()[0].heap_capacity, finished, "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -1,21 +1,29 @@
 //! Canonical JSON scalar formatting shared by every exporter in the
 //! workspace: hand-rolled, dependency-free, and byte-deterministic.
 
+use std::fmt::Write;
+
 /// Formats an `f64` for JSON: shortest round-trip decimal, always with a
 /// fractional part (`1` → `"1.0"`), non-finite values as `null` (JSON has
 /// no NaN/Inf).
 pub fn fmt_f64(v: f64) -> String {
+    let mut s = String::new();
+    push_f64(&mut s, v);
+    s
+}
+
+/// Appends [`fmt_f64`]'s text for `v` to `out` without a temporary.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let s = format!("{v}");
+        let start = out.len();
+        write!(out, "{v}").expect("writing to a String cannot fail");
         // `{}` omits ".0" for integral floats (and never uses scientific
         // notation); keep the result visibly a float.
-        if s.contains('.') {
-            s
-        } else {
-            format!("{s}.0")
+        if !out[start..].contains('.') {
+            out.push_str(".0");
         }
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 

@@ -3,6 +3,7 @@
 //! [`EventSink`](crate::EventSink)s.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
 use crate::sink::{EventSink, MemorySink, SinkStats};
@@ -47,6 +48,45 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// An Fx-style hasher (rustc's `FxHasher`: rotate, xor, multiply per
+/// 8-byte word) for the interning table. Every event name is looked up
+/// there, and its keys are the workspace's own names, so a fast
+/// non-keyed hash fits; the map's capacity, and so
+/// [`Recorder::heap_capacity`], does not depend on the hasher.
+#[derive(Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i.into());
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Track {
     name: StrId,
@@ -67,7 +107,7 @@ struct Track {
 /// track panics, whether or not any sink retains the stream.
 pub struct Recorder {
     strings: Vec<String>,
-    lookup: HashMap<String, StrId>,
+    lookup: HashMap<String, StrId, BuildHasherDefault<FxHasher>>,
     tracks: Vec<Track>,
     sinks: Vec<Box<dyn EventSink>>,
     /// Latest timestamp recorded per track (debug builds only; not part
@@ -101,7 +141,7 @@ impl Recorder {
     pub fn new() -> Self {
         Self {
             strings: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: HashMap::default(),
             tracks: Vec::new(),
             sinks: vec![Box::new(MemorySink::new())],
             #[cfg(debug_assertions)]
@@ -187,7 +227,12 @@ impl Recorder {
     /// Total heap capacity (in entries) held by the recorder's internal
     /// storage and its sinks. For a streaming recorder this is the bounded
     /// resident footprint: interning + track tables plus each sink's fixed
-    /// chunk.
+    /// chunk. Per-entry scratch buffers are left out, like the debug-only
+    /// per-track timestamps: the
+    /// [`ChromeStreamSink`](crate::ChromeStreamSink)'s reused entry
+    /// buffer and the [`Aggregator`](crate::agg::Aggregator)'s gauge-key
+    /// buffer. So is caller-side scratch the recorder never sees, such as
+    /// the span-name buffer in `recross-dram`'s `DramTracks`.
     pub fn heap_capacity(&self) -> usize {
         self.strings.capacity()
             + self.lookup.capacity()

@@ -72,7 +72,10 @@ pub trait EventSink {
     /// Heap capacity (in entries/bytes, the same loose unit as
     /// [`Recorder::heap_capacity`](crate::Recorder::heap_capacity)) held
     /// by the sink. For bounded sinks this stays flat no matter how many
-    /// events stream through.
+    /// events stream through. A buffer the sink reuses to render or key
+    /// each entry (the [`ChromeStreamSink`](crate::ChromeStreamSink)'s
+    /// entry text, the [`Aggregator`](crate::agg::Aggregator)'s gauge
+    /// key) is not counted.
     fn heap_capacity(&self) -> usize {
         0
     }

@@ -40,6 +40,7 @@
 //! drop counters, so drops are never silent.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::rc::Rc;
 
@@ -90,6 +91,9 @@ pub struct ServeObs {
     /// One lifecycle record per lane group, fed by `request_span`.
     tenants: Vec<TenantAggregate>,
     agg: Option<Rc<RefCell<Aggregator>>>,
+    /// The lifecycle span or instant name being formatted, reused across
+    /// requests.
+    label: String,
 }
 
 impl ServeObs {
@@ -107,6 +111,7 @@ impl ServeObs {
             channels: Vec::new(),
             tenants: Vec::new(),
             agg: None,
+            label: String::new(),
         }
     }
 
@@ -319,11 +324,13 @@ impl ServeObs {
 
     /// Records request `id`'s lifecycle span, labeled with its fate, on
     /// the first free lane of its tenant group (creating a lane when all
-    /// are occupied), plus sorted per-channel instants, and counts it in
-    /// the group's [`TenantAggregate`]. `dispatch` is the request's first
-    /// and last dispatch cycle (`None` if it never dispatched) — the same
-    /// evidence the `dispatch` instants carry, so the report's tenant
-    /// block and `obs::agg`'s streamed aggregates agree by construction.
+    /// are occupied), plus per-channel instants sorted by cycle (each
+    /// `(cycle, label, channel)` is named `"{label} ch{channel}"`), and
+    /// counts it in the group's [`TenantAggregate`]. `dispatch` is the
+    /// request's first and last dispatch cycle (`None` if it never
+    /// dispatched) — the same evidence the `dispatch` instants carry, so
+    /// the report's tenant block and `obs::agg`'s streamed aggregates
+    /// agree by construction.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn request_span(
         &mut self,
@@ -333,7 +340,7 @@ impl ServeObs {
         start: Cycle,
         end: Cycle,
         dispatch: Option<(Cycle, Cycle)>,
-        instants: &[(Cycle, String)],
+        instants: &[(Cycle, &str, usize)],
     ) {
         let g = &mut self.groups[group];
         let lane = match g.lanes.iter_mut().find(|l| l.free <= start) {
@@ -348,11 +355,14 @@ impl ServeObs {
                 track
             }
         };
-        self.rec
-            .span(lane, &format!("req#{id} {}", fate.label()), start, end);
+        self.label.clear();
+        write!(self.label, "req#{id} {}", fate.label()).expect("writing to a String cannot fail");
+        self.rec.span(lane, &self.label, start, end);
         debug_assert!(instants.windows(2).all(|w| w[0].0 <= w[1].0));
-        for (t, label) in instants {
-            self.rec.instant(lane, label, *t);
+        for &(t, label, ch) in instants {
+            self.label.clear();
+            write!(self.label, "{label} ch{ch}").expect("writing to a String cannot fail");
+            self.rec.instant(lane, &self.label, t);
         }
         self.tenants[group].record(fate, start, end, dispatch);
     }
@@ -543,7 +553,7 @@ mod tests {
         // the first ends reuses lane 0. Recording checks each lane's
         // timestamps never go back.
         let done = Fate::Completed;
-        let dispatch = [(60, "dispatch ch0".to_string())];
+        let dispatch = [(60, "dispatch", 0)];
         obs.request_span(0, 0, done, 0, 100, None, &[]);
         obs.request_span(0, 1, done, 50, 150, Some((60, 60)), &dispatch);
         obs.request_span(0, 2, done, 120, 200, None, &[]);
@@ -609,7 +619,7 @@ mod tests {
         obs.begin(1, &["rt".to_string(), "batch".to_string()]);
         // Tenant 0: dispatched once at 40, completes at 100 → queue 40,
         // service 60. Tenant 1: shed without ever dispatching.
-        let dispatch = [(40, "dispatch ch0".to_string())];
+        let dispatch = [(40, "dispatch", 0)];
         obs.request_span(0, 0, Fate::Completed, 0, 100, Some((40, 40)), &dispatch);
         obs.request_span(1, 1, Fate::QueueShed, 10, 10, None, &[]);
         let report = obs.obs_report(&sample_report(obs.channels.len()));
@@ -639,7 +649,7 @@ mod tests {
         obs.unbuffer();
         obs.enable_agg();
         obs.begin(1, &["requests".to_string()]);
-        let dispatch = [(40, "dispatch ch0".to_string())];
+        let dispatch = [(40, "dispatch", 0)];
         obs.request_span(0, 0, Fate::Completed, 0, 100, Some((40, 40)), &dispatch);
         obs.finish().unwrap();
         let bytes = out.contents();

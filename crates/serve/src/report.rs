@@ -11,6 +11,7 @@
 
 use recross_dram::Cycle;
 use recross_nmp::session::SessionStats;
+use recross_obs::agg::Fate;
 use recross_obs::{fmt_f64, json_string};
 
 use crate::tenant::TenantClass;
@@ -84,6 +85,21 @@ impl TenantReport {
             queue_shed: 0,
             deadline_shed: 0,
             latency: LatencyHistogram::new(),
+        }
+    }
+
+    /// Counts one request that resolved with `fate`; `latency` is its
+    /// arrival-to-completion time when it finished.
+    pub(crate) fn record(&mut self, fate: Fate, latency: Option<Cycle>) {
+        self.requests += 1;
+        match fate {
+            Fate::Completed => self.completed += 1,
+            Fate::Late => self.missed += 1,
+            Fate::QueueShed => self.queue_shed += 1,
+            Fate::DeadlineShed => self.deadline_shed += 1,
+        }
+        if let Some(l) = latency {
+            self.latency.record(l);
         }
     }
 

@@ -214,12 +214,17 @@ fn simulate_channel(
     }
 }
 
-/// Request `i`'s channel parts merged: `Ok` with the latest completion
-/// (its `arrival` when no channel held a part), or `Err` with how it was
-/// dropped; a queue drop on any channel outranks a deadline drop on
-/// another.
-fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle, Fate> {
-    let mut done = Ok(arrival);
+/// How request `i` resolved, with its completion cycle when it finished:
+/// the latest of its channel parts (its arrival when no channel held a
+/// part), judged against its deadline. A drop on any channel drops the
+/// request, and a queue drop outranks a deadline drop on another channel.
+/// The serve report and the tracer both take a request's fate from here.
+fn request_fate(
+    outcomes: &[ChannelOutcome],
+    i: usize,
+    req: &TenantRequest,
+) -> (Fate, Option<Cycle>) {
+    let mut done = Ok(req.arrival);
     for o in outcomes {
         done = match (done, o.completions[i]) {
             (Ok(d), Some(c)) => Ok(d.max(c)),
@@ -228,7 +233,11 @@ fn merged(outcomes: &[ChannelOutcome], i: usize, arrival: Cycle) -> Result<Cycle
             (_, None) => Err(Fate::QueueShed),
         };
     }
-    done
+    match done {
+        Ok(d) if d <= req.deadline => (Fate::Completed, Some(d)),
+        Ok(d) => (Fate::Late, Some(d)),
+        Err(drop) => (drop, None),
+    }
 }
 
 /// Replays the per-request outcomes into `obs` as lifecycle spans: one
@@ -242,16 +251,17 @@ fn record_lifecycles(
     mix: Option<&TenantMix>,
     outcomes: &[ChannelOutcome],
 ) {
+    let mut instants: Vec<(Cycle, &'static str, usize)> = Vec::new();
     for (i, req) in requests.iter().enumerate() {
         let mut end = req.arrival;
         let mut dispatch: Option<(Cycle, Cycle)> = None;
-        let mut instants: Vec<(Cycle, String)> = Vec::new();
+        instants.clear();
         for (ch, o) in outcomes.iter().enumerate() {
             match o.completions[i] {
                 Some(c) => {
                     end = end.max(c);
                     if let Some(td) = o.dispatched_at[i] {
-                        instants.push((td, format!("dispatch ch{ch}")));
+                        instants.push((td, "dispatch", ch));
                         dispatch = Some(dispatch.map_or((td, td), |(f, l)| (f.min(td), l.max(td))));
                     }
                 }
@@ -263,16 +273,12 @@ fn record_lifecycles(
                     } else {
                         "queue-shed"
                     };
-                    instants.push((t, format!("{drop} ch{ch}")));
+                    instants.push((t, drop, ch));
                 }
             }
         }
-        let fate = match merged(outcomes, i, req.arrival) {
-            Ok(d) if d <= req.deadline => Fate::Completed,
-            Ok(_) => Fate::Late,
-            Err(drop) => drop,
-        };
-        instants.sort_by_key(|&(t, _)| t);
+        let (fate, _) = request_fate(outcomes, i, req);
+        instants.sort_by_key(|&(t, _, _)| t);
         let group = if mix.is_some() { req.tenant } else { 0 };
         obs.request_span(group, i, fate, req.arrival, end, dispatch, &instants);
     }
@@ -557,33 +563,16 @@ impl ServeReport {
         let mut shed_requests = 0u64;
         let mut makespan: Cycle = requests.last().map(|r| r.arrival).unwrap_or(0);
         for (i, req) in requests.iter().enumerate() {
-            let tenant = tenants.get_mut(req.tenant);
-            match merged(outcomes, i, req.arrival) {
-                Ok(d) => {
-                    let latency = d - req.arrival;
-                    hist.record(latency);
+            let (fate, done) = request_fate(outcomes, i, req);
+            match done {
+                Some(d) => {
+                    hist.record(d - req.arrival);
                     makespan = makespan.max(d);
-                    if let Some(t) = tenant {
-                        t.requests += 1;
-                        t.latency.record(latency);
-                        if d <= req.deadline {
-                            t.completed += 1;
-                        } else {
-                            t.missed += 1;
-                        }
-                    }
                 }
-                Err(drop) => {
-                    shed_requests += 1;
-                    if let Some(t) = tenant {
-                        t.requests += 1;
-                        if drop == Fate::QueueShed {
-                            t.queue_shed += 1;
-                        } else {
-                            t.deadline_shed += 1;
-                        }
-                    }
-                }
+                None => shed_requests += 1,
+            }
+            if let Some(t) = tenants.get_mut(req.tenant) {
+                t.record(fate, done.map(|d| d - req.arrival));
             }
         }
         // Total queue depth across channels, sampled at each arrival.
