@@ -785,11 +785,14 @@ fn serve_tenant_slo(
 
 fn overheads(scale: Scale) {
     banner("§5.6: partitioning and mapping-table overheads");
-    let (lp_ms, bytes, frac) = exp::partitioning_overheads(scale);
-    println!("LP partitioning time: {lp_ms:.1} ms (paper: within 5 s via Gurobi)");
+    let o = exp::partitioning_overheads(scale);
+    println!(
+        "LP partitioning time: {:.1} ms (paper: within 5 s via Gurobi)",
+        o.lp_millis
+    );
     println!(
         "mapping table: {:.1} MiB = {:.2}% of model size (paper: < 4%)",
-        bytes as f64 / (1024.0 * 1024.0),
-        frac * 100.0
+        o.mapping_bytes as f64 / (1024.0 * 1024.0),
+        o.mapping_fraction * 100.0
     );
 }

@@ -165,6 +165,9 @@ pub struct PartitionDecision {
     pub region_load_bytes: [f64; 3],
     /// Predicted batch latency (cycles) = max_j load_j / bw_j.
     pub predicted_cycles: f64,
+    /// Simplex pivots of the LP solve, phase 1 then phase 2 (zero for the
+    /// naive split, which solves no LP).
+    pub lp_pivots: [usize; 2],
 }
 
 impl PartitionDecision {
@@ -329,6 +332,7 @@ pub fn bandwidth_aware_partition(
         splits,
         region_load_bytes,
         predicted_cycles,
+        lp_pivots: sol.pivots,
     })
 }
 
@@ -365,6 +369,7 @@ pub fn naive_partition(profiles: &[TableProfile], map: &RegionMap) -> PartitionD
         splits,
         region_load_bytes,
         predicted_cycles: 0.0,
+        lp_pivots: [0, 0],
     }
 }
 

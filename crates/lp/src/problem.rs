@@ -60,6 +60,10 @@ pub struct LpSolution {
     pub objective: f64,
     /// Optimal variable assignment.
     pub values: Vec<f64>,
+    /// Pivots taken in phase 1 (including those that drive zero-valued
+    /// artificials out of the basis) and in phase 2. A deterministic
+    /// measure of solver work.
+    pub pivots: [usize; 2],
 }
 
 /// Why an LP could not be solved.

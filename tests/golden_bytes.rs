@@ -8,7 +8,11 @@
 //! the experiment tables: the ones whose models are assembled by hand
 //! (ablations, configuration sweeps, the training write-back path) and the
 //! figure tables that vary vector length, batch size, rank count, channel
-//! count and DDR generation, with the Figure 6 command timelines. The
+//! count and DDR generation, with the Figure 6 command timelines. It also
+//! pins the bandwidth-aware partition itself: the Figure 3 access CDFs,
+//! the §5.6 mapping-table overheads, and the partition decisions (rank
+//! ranges, predicted loads and latency, simplex pivots) across scales,
+//! vector lengths, rank counts and both profile sources. The
 //! constants were recorded once; a refactor that claims "same bytes" must
 //! leave every one of them unchanged. A mismatch prints the new digest.
 
@@ -16,15 +20,21 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::rc::Rc;
 
+use recross::partition::{
+    bandwidth_aware_partition, PartitionDecision, PartitionError, PWL_SEGMENTS,
+};
+use recross::profile::{analytic_profiles, empirical_profiles};
+use recross::{ReCrossConfig, RegionBandwidth, RegionMap, TableProfile};
 use recross_bench::experiments::{
     channel_scaling, ddr4_sensitivity, fig10_batch_size, fig11_rank_count, fig12_ablation,
-    fig13_bwp_imbalance, fig14_configurations, fig15_energy, fig6_timeline, fig9_vector_length,
-    instruction_transfer_ablation, run_all, training_updates,
+    fig13_bwp_imbalance, fig14_configurations, fig15_energy, fig3_access_cdf, fig6_timeline,
+    fig9_vector_length, instruction_transfer_ablation, partitioning_overheads, run_all,
+    training_updates,
 };
 use recross_bench::runtrace::closed_loop_trace_with;
 use recross_bench::serving::{self, TraceOptions, Traffic};
 use recross_bench::workloads::{dram, generator, Scale};
-use recross_nmp::{EmbeddingAccelerator, Fafnir, RunReport};
+use recross_nmp::{AccessProfile, EmbeddingAccelerator, Fafnir, RunReport};
 use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
 
 const SEED: u64 = 7;
@@ -343,6 +353,137 @@ fn experiment_tables_match_golden() {
             "ddr4_sensitivity",
             text(&ddr4_sensitivity(Scale::Tiny)),
             0x0982_2226_dcbd_c8e8,
+        ),
+    ]);
+}
+
+/// Figure 3 prints the analytic CDF samples; pin their bits, and the
+/// §5.6 mapping-table overheads (not the LP's wall-clock time).
+#[test]
+fn access_cdfs_and_overheads_match_golden() {
+    let cdfs = |scale| {
+        let mut h = Fnv::default();
+        for (table, series) in fig3_access_cdf(scale, 100) {
+            h.u64(table as u64);
+            for (p, f) in series {
+                h.f64(p).f64(f);
+            }
+        }
+        h.0
+    };
+    let overheads = |scale| {
+        let o = partitioning_overheads(scale);
+        Fnv::default()
+            .u64(o.mapping_bytes)
+            .f64(o.mapping_fraction)
+            .0
+    };
+    check(&[
+        (
+            "tiny fig3_access_cdf",
+            cdfs(Scale::Tiny),
+            0x8761_4215_3d53_1c63,
+        ),
+        (
+            "quick fig3_access_cdf",
+            cdfs(Scale::Quick),
+            0x7e40_1c06_a690_76bc,
+        ),
+        (
+            "tiny partitioning_overheads",
+            overheads(Scale::Tiny),
+            0xebc4_6efa_26ca_adf3,
+        ),
+        (
+            "quick partitioning_overheads",
+            overheads(Scale::Quick),
+            0x3a31_8839_86fa_f277,
+        ),
+    ]);
+}
+
+/// Hashes one decision: every rank range, then the predicted loads and
+/// latency bits and the simplex pivot counts. A placement that does not
+/// fit hashes as one marker word.
+fn of_decision(h: &mut Fnv, d: &Result<PartitionDecision, PartitionError>) {
+    let Ok(d) = d else {
+        h.u64(u64::MAX);
+        return;
+    };
+    for split in &d.splits {
+        h.u64(split.ranges().len() as u64);
+        for &(start, end, region) in split.ranges() {
+            h.u64(start).u64(end).u64(region.index() as u64);
+        }
+    }
+    for &load in &d.region_load_bytes {
+        h.f64(load);
+    }
+    h.f64(d.predicted_cycles);
+    for &pivots in &d.lp_pivots {
+        h.u64(pivots as u64);
+    }
+}
+
+/// The BWP decision `ReCross::new` takes for `profiles` on `cfg`.
+fn bwp(
+    cfg: &ReCrossConfig,
+    profiles: &[TableProfile],
+    batch: f64,
+) -> Result<PartitionDecision, PartitionError> {
+    let map = RegionMap::new(cfg);
+    let max_vec = profiles
+        .iter()
+        .map(|p| p.spec.vector_bytes() as u32)
+        .max()
+        .unwrap_or(256);
+    let bw = RegionBandwidth::from_map(&map, &cfg.dram, max_vec, cfg.sap);
+    bandwidth_aware_partition(profiles, &map, &bw, batch, PWL_SEGMENTS)
+}
+
+/// `(analytic, empirical)` digests of the decisions at one scale over
+/// vector lengths 16/64/256 and 2/4/8 ranks.
+fn decisions(scale: Scale) -> (u64, u64) {
+    let (mut analytic, mut empirical) = (Fnv::default(), Fnv::default());
+    for dim in [16, 64, 256] {
+        let g = generator(scale, dim);
+        let batch = g.batch_size_value() as f64;
+        let trace = g.generate(SEED);
+        let from_analytic = analytic_profiles(&g);
+        let from_trace = empirical_profiles(g.tables(), &AccessProfile::from_trace(&trace));
+        for ranks in [2, 4, 8] {
+            let cfg = ReCrossConfig::default_d(dram().with_ranks(ranks));
+            of_decision(&mut analytic, &bwp(&cfg, &from_analytic, batch));
+            of_decision(&mut empirical, &bwp(&cfg, &from_trace, batch));
+        }
+    }
+    (analytic.0, empirical.0)
+}
+
+#[test]
+fn partition_decisions_match_golden() {
+    let (quick_analytic, quick_empirical) = decisions(Scale::Quick);
+    let (paper_analytic, paper_empirical) = decisions(Scale::Paper);
+    check(&[
+        (
+            "quick analytic decisions",
+            quick_analytic,
+            0x6f31_92d0_5f72_bef1,
+        ),
+        (
+            "quick empirical decisions",
+            quick_empirical,
+            0xffbb_59af_4677_5c79,
+        ),
+        (
+            "paper analytic decisions",
+            paper_analytic,
+            0xff77_4eb0_6598_65b3,
+        ),
+        (
+            "paper empirical decisions",
+            paper_empirical,
+            0x7113_2789_3135_1d22,
         ),
     ]);
 }
