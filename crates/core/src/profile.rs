@@ -64,8 +64,11 @@ pub struct TableProfile {
     pub prob: f64,
     /// Average pooling factor (`pool_i`).
     pub pool: f64,
-    /// Access CDF `f_i(p)` sampled at the PWL knots (filled on demand by
-    /// the partitioner through [`TableProfile::cdf`]).
+    /// Where the access CDF `f_i(p)` comes from: the generator's Zipf
+    /// distribution (whose harmonic table its first evaluation builds,
+    /// shared with the generator and every clone) or the curve measured
+    /// from a profiling trace. The partitioner evaluates it at its segment
+    /// boundaries through [`TableProfile::cdf`].
     cdf_fn: CdfSource,
     /// Hot-rank order.
     pub order: HotOrder,

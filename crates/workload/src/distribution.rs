@@ -6,14 +6,66 @@
 //! module provides both the analytic form for Zipfian popularity and the
 //! empirical form measured from a trace, which is what Figure 3 plots.
 
-use crate::zipf::{harmonic, Zipf};
+use std::sync::{Arc, OnceLock};
+
+use crate::zipf::{harmonic_beyond_cutoff, Zipf, EXACT_CUTOFF};
 
 /// Popularity model of one embedding table's rows.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AccessDistribution {
     rows: u64,
     alpha: f64,
     zipf: Zipf,
+    /// Harmonic prefix sums behind [`cdf`](Self::cdf), built by its first
+    /// call and shared by every clone (and so across threads).
+    table: Arc<OnceLock<HarmonicTable>>,
+}
+
+impl core::fmt::Debug for AccessDistribution {
+    /// The popularity parameters only; the lazily built table is a cache.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("AccessDistribution")
+            .field("rows", &self.rows)
+            .field("alpha", &self.alpha)
+            .field("zipf", &self.zipf)
+            .finish()
+    }
+}
+
+/// `H(k, α)` for every `k` up to `min(rows, EXACT_CUTOFF)`, and `H(rows,
+/// α)`: the values [`harmonic`](crate::zipf::harmonic) returns, bit for
+/// bit. A running sum seeded with `-0.0` is the left fold f64 `Sum`
+/// performs, and past the cutoff both add the same Euler–Maclaurin tail
+/// to the same exact head.
+struct HarmonicTable {
+    /// `head[k] = H(k, α)`.
+    head: Vec<f64>,
+    /// `H(rows, α)`, the CDF's denominator.
+    total: f64,
+}
+
+impl HarmonicTable {
+    fn new(rows: u64, alpha: f64) -> Self {
+        let exact = rows.min(EXACT_CUTOFF);
+        let mut head = Vec::with_capacity(exact as usize + 1);
+        let mut sum = -0.0;
+        head.push(sum);
+        for k in 1..=exact {
+            sum += (k as f64).powf(-alpha);
+            head.push(sum);
+        }
+        let mut table = Self { head, total: 0.0 };
+        table.total = table.harmonic(rows, alpha);
+        table
+    }
+
+    /// `H(k, α)` for `1 ≤ k ≤ rows`.
+    fn harmonic(&self, k: u64, alpha: f64) -> f64 {
+        match self.head.get(k as usize) {
+            Some(&h) => h,
+            None => harmonic_beyond_cutoff(self.head[EXACT_CUTOFF as usize], k, alpha),
+        }
+    }
 }
 
 impl AccessDistribution {
@@ -24,7 +76,12 @@ impl AccessDistribution {
     /// Panics if the Zipf parameters are invalid (`rows == 0` or `alpha < 0`).
     pub fn zipf(rows: u64, alpha: f64) -> Self {
         let zipf = Zipf::new(rows, alpha).expect("valid zipf parameters");
-        Self { rows, alpha, zipf }
+        Self {
+            rows,
+            alpha,
+            zipf,
+            table: Arc::default(),
+        }
     }
 
     /// Uniform popularity (α = 0), the assumption of pre-ReCross works the
@@ -51,6 +108,11 @@ impl AccessDistribution {
     /// `f_i(p)`: fraction of accesses captured by the hottest `p ∈ [0, 1]`
     /// fraction of rows. Monotone, concave, `f(0) = 0`, `f(1) = 1`.
     ///
+    /// Equal to `harmonic(k, α) / harmonic(rows, α)` with `k` the rounded
+    /// row count; the first call tabulates the harmonic numbers (up to
+    /// 10,000 `powf` terms) for this distribution and its clones, and
+    /// every later call is a lookup.
+    ///
     /// # Examples
     ///
     /// ```
@@ -66,7 +128,10 @@ impl AccessDistribution {
             return 0.0;
         }
         let k = ((p * self.rows as f64).round() as u64).clamp(1, self.rows);
-        harmonic(k, self.alpha) / harmonic(self.rows, self.alpha)
+        let table = self
+            .table
+            .get_or_init(|| HarmonicTable::new(self.rows, self.alpha));
+        table.harmonic(k, self.alpha) / table.total
     }
 
     /// Samples the popularity curve at `points+1` evenly spaced `p` values,
@@ -137,6 +202,58 @@ impl EmpiricalCdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zipf::harmonic;
+
+    /// The table is a cache: `cdf` must return exactly the quotient of
+    /// harmonic numbers it replaced, on both sides of the exact cutoff.
+    #[test]
+    fn cdf_equals_harmonic_quotient_bit_for_bit() {
+        for rows in [1, 4, 9_999, 10_000, 10_001, 101_312, 10_131_227u64] {
+            // Every k of the small tables; for the large ones the first
+            // and last ranks, the ranks around the cutoff and a stride.
+            let ks: Vec<u64> = if rows <= 4 {
+                (1..=rows).collect()
+            } else {
+                let mut ks: Vec<u64> = (1..=64)
+                    .chain(rows - 63..=rows)
+                    .chain(9_990..=10_010)
+                    .chain((1..rows).step_by((rows / 97) as usize))
+                    .filter(|&k| (1..=rows).contains(&k))
+                    .collect();
+                ks.sort_unstable();
+                ks.dedup();
+                ks
+            };
+            for alpha in [0.0, 0.4, 1.0, 1.2] {
+                let d = AccessDistribution::zipf(rows, alpha);
+                let total = harmonic(rows, alpha);
+                for &k in &ks {
+                    let p = k as f64 / rows as f64;
+                    assert_eq!(((p * rows as f64).round() as u64), k);
+                    let want = harmonic(k, alpha) / total;
+                    assert_eq!(
+                        d.cdf(p).to_bits(),
+                        want.to_bits(),
+                        "rows {rows} alpha {alpha} k {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_lazy_table_that_debug_omits() {
+        let d = AccessDistribution::zipf(50_000, 0.9);
+        let before = format!("{d:?}");
+        let clone = d.clone();
+        assert!(Arc::ptr_eq(&d.table, &clone.table));
+        assert!(d.table.get().is_none(), "built before the first cdf");
+        let f = clone.cdf(0.3);
+        assert!(d.table.get().is_some(), "the clone's build is shared");
+        assert_eq!(d.cdf(0.3).to_bits(), f.to_bits());
+        assert_eq!(format!("{d:?}"), before);
+        assert!(!before.contains("table") && !before.contains("head"));
+    }
 
     #[test]
     fn cdf_endpoints() {

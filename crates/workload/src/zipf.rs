@@ -129,17 +129,26 @@ fn h_integral_inv(u: f64, alpha: f64) -> f64 {
     }
 }
 
+/// Ranks up to which [`harmonic`] sums `k^-α` term by term; beyond it the
+/// tail is the Euler–Maclaurin estimate of [`harmonic_beyond_cutoff`].
+pub(crate) const EXACT_CUTOFF: u64 = 10_000;
+
 /// Generalized harmonic number `H(n, α) = Σ_{k=1..n} k^-α`.
 ///
 /// Computed exactly for small `n` and with the Euler–Maclaurin approximation
 /// for large `n`, keeping the cost bounded for tables with millions of rows.
 pub fn harmonic(n: u64, alpha: f64) -> f64 {
-    const EXACT_CUTOFF: u64 = 10_000;
     if n <= EXACT_CUTOFF {
         return (1..=n).map(|k| (k as f64).powf(-alpha)).sum();
     }
     let head: f64 = (1..=EXACT_CUTOFF).map(|k| (k as f64).powf(-alpha)).sum();
-    // Euler–Maclaurin for the tail Σ_{k=m+1..n} k^-α with m = EXACT_CUTOFF.
+    harmonic_beyond_cutoff(head, n, alpha)
+}
+
+/// `H(n, α)` for `n > EXACT_CUTOFF`, from the exact `head = H(EXACT_CUTOFF,
+/// α)` plus the Euler–Maclaurin estimate of the tail `Σ_{k=m+1..n} k^-α`
+/// with `m = EXACT_CUTOFF`.
+pub(crate) fn harmonic_beyond_cutoff(head: f64, n: u64, alpha: f64) -> f64 {
     let m = EXACT_CUTOFF as f64;
     let nf = n as f64;
     let integral = if (alpha - 1.0).abs() < 1e-12 {
