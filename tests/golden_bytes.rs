@@ -8,7 +8,9 @@
 //! the experiment tables: the ones whose models are assembled by hand
 //! (ablations, configuration sweeps, the training write-back path) and the
 //! figure tables that vary vector length, batch size, rank count, channel
-//! count and DDR generation, with the Figure 6 command timelines. It also
+//! count and DDR generation, with the Figure 6 command timelines, the
+//! Figure 4 imbalance and Figure 5 per-level speedups at 2, 4 and 8 ranks,
+//! and the Table 3 area model. It also
 //! pins the bandwidth-aware partition itself: the Figure 3 access CDFs,
 //! the §5.6 mapping-table overheads, and the partition decisions (rank
 //! ranges, predicted loads and latency, simplex pivots) across scales,
@@ -27,9 +29,9 @@ use recross::profile::{analytic_profiles, empirical_profiles};
 use recross::{ReCrossConfig, RegionBandwidth, RegionMap, TableProfile};
 use recross_bench::experiments::{
     channel_scaling, ddr4_sensitivity, fig10_batch_size, fig11_rank_count, fig12_ablation,
-    fig13_bwp_imbalance, fig14_configurations, fig15_energy, fig3_access_cdf, fig6_timeline,
-    fig9_vector_length, instruction_transfer_ablation, partitioning_overheads, run_all,
-    training_updates,
+    fig13_bwp_imbalance, fig14_configurations, fig15_energy, fig3_access_cdf, fig4_imbalance,
+    fig5_levels, fig6_timeline, fig9_vector_length, instruction_transfer_ablation,
+    partitioning_overheads, run_all, table3_area, training_updates,
 };
 use recross_bench::runtrace::closed_loop_trace_with;
 use recross_bench::serving::{self, TraceOptions, Traffic};
@@ -354,6 +356,17 @@ fn experiment_tables_match_golden() {
             text(&ddr4_sensitivity(Scale::Tiny)),
             0x0982_2226_dcbd_c8e8,
         ),
+        (
+            "fig4_imbalance",
+            text(&fig4_imbalance(Scale::Tiny)),
+            0x47f3_f3b2_ad23_347d,
+        ),
+        (
+            "fig5_levels",
+            text(&fig5_levels(Scale::Tiny)),
+            0xd2ac_ed5e_f02a_0538,
+        ),
+        ("table3_area", text(&table3_area()), 0xf1da_475a_7949_fd12),
     ]);
 }
 
