@@ -6,6 +6,10 @@
 //! simulator's, not the authors' testbed's — EXPERIMENTS.md records the
 //! paper-vs-measured comparison.
 
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use recross::config::ReCrossConfig;
 use recross::engine::ReCross;
 use recross::profile::analytic_profiles;
@@ -28,36 +32,68 @@ use crate::workloads::{dram, generator, standard_trace, Scale};
 /// The ReCross system is built from analytic profiles of the generator and
 /// the TRiM variants get the trace-derived replication profile, as in §5.1.
 ///
-/// ReCross's set-up (LP partitioning, placement) and run go to a scoped
-/// thread while the five baselines run on the calling thread. No run
-/// depends on another, so the reports are those of running the six one
-/// after another, in the same order.
+/// Up to `min(available cores, 6)` workers, the calling thread among them,
+/// take architectures from a shared counter, ReCross first: its set-up
+/// (LP partitioning, placement) makes it the longest job. The TRiM profile
+/// is built by the first TRiM job and shared. No run depends on another,
+/// and the reports are merged by index, so they are those of running the
+/// six one after another, in the same order.
 pub fn run_all(g: &TraceGenerator, trace: &Trace, dram_cfg: &DramConfig) -> Vec<RunReport> {
-    std::thread::scope(|s| {
-        let recross = s.spawn(|| {
+    /// Report indices in the order the workers take them.
+    const START_ORDER: [usize; 6] = [5, 0, 1, 2, 3, 4];
+    let profile = OnceLock::new();
+    let trim_profile = || {
+        profile
+            .get_or_init(|| AccessProfile::from_trace(trace))
+            .clone()
+    };
+    let run = |arch: usize| match arch {
+        0 => CpuBaseline::new(dram_cfg.clone()).run(trace),
+        1 => TensorDimm::new(dram_cfg.clone()).run(trace),
+        2 => RecNmp::new(dram_cfg.clone()).run(trace),
+        3 => Trim::bank_group(dram_cfg.clone())
+            .with_profile(trim_profile())
+            .run(trace),
+        4 => Trim::bank(dram_cfg.clone())
+            .with_profile(trim_profile())
+            .run(trace),
+        _ => {
             let mut cfg = ReCrossConfig::default_d(dram_cfg.clone());
             cfg.name = "ReCross".to_owned();
             let batch = g.batch_size_value() as f64;
             ReCross::new(cfg, analytic_profiles(g), batch)
                 .expect("placement fits")
                 .run(trace)
-        });
-        let profile = AccessProfile::from_trace(trace);
-        vec![
-            CpuBaseline::new(dram_cfg.clone()).run(trace),
-            TensorDimm::new(dram_cfg.clone()).run(trace),
-            RecNmp::new(dram_cfg.clone()).run(trace),
-            Trim::bank_group(dram_cfg.clone())
-                .with_profile(profile.clone())
-                .run(trace),
-            Trim::bank(dram_cfg.clone())
-                .with_profile(profile)
-                .run(trace),
-            recross
-                .join()
-                .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-        ]
-    })
+        }
+    };
+    // The counter only hands out indices (each once: `fetch_add` is one
+    // atomic step); the reports travel back through `join`, so `Relaxed`
+    // orders all it needs to.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&arch) = START_ORDER.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((arch, run(arch)));
+        }
+        done
+    };
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(START_ORDER.len());
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(arch, _)| arch);
+    done.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Figure 3: cumulative access share vs fraction of rows, per table.
@@ -626,8 +662,8 @@ pub fn region_split() -> (u32, u32, u32) {
 mod tests {
     use super::*;
 
-    /// `run_all` runs ReCross on its own thread; its reports must still be
-    /// each model's own sequential `run`, in CPU-first order.
+    /// `run_all` spreads the architectures over worker threads; its reports
+    /// must still be each model's own sequential `run`, in CPU-first order.
     #[test]
     fn run_all_matches_sequential_runs_in_order() {
         let g = generator(Scale::Tiny, 64).batches(2);

@@ -22,16 +22,21 @@
 //! controller and share the ACT/tFAW/tCCD windows — this is what lets
 //! ReCross run its three regions concurrently in the same ranks.
 //!
-//! The scheduler is incremental. A bank's candidates (its policy pick and
-//! the SALP activations that may overlap it, each with the part of its
-//! earliest issue cycle that the bank alone sets) depend only on that
-//! bank's state and queue, so they are cached and rebuilt only when the
-//! bank issues a command, admits a request, or its rank refreshes. Each
-//! pick combines the cached bank bounds with the *current* bank-group and
-//! rank bounds exactly, and skips a bank whose least bank bound already
-//! reaches the best estimate. The issued commands are those of a full
-//! rescan of every bank, which debug builds re-run on every 16th pick to
-//! check.
+//! The scheduler is incremental: a pick costs what changed, not what
+//! exists. A bank's candidates (its policy pick and the SALP activations
+//! that may overlap it, each with the part of its earliest issue cycle
+//! that the bank alone sets) depend only on that bank's state and queue,
+//! so they are cached and rebuilt only when the bank issues a command,
+//! admits a request, or its rank refreshes. Such a bank joins a dirty
+//! list; the next pick rebuilds just those banks and moves them in an
+//! index of `(floor, bank)` sorted ascending, where a bank's floor is its
+//! least cached bound. The pick walks that index, combining each bank's
+//! cached bounds with the *current* bank-group and rank bounds exactly,
+//! and stops at the first bank whose floor already reaches the best
+//! estimate. A bank whose candidates are all activations is skipped when
+//! its activation window, read afresh for its rank at each pick, already
+//! reaches it. The issued commands are those of a full rescan of every
+//! bank, which debug builds re-run on every 16th pick to check.
 
 use std::collections::VecDeque;
 
@@ -198,6 +203,8 @@ fn data_scope_of(dest: BusScope) -> DataScope {
 #[derive(Debug, Clone, Copy)]
 struct ActiveRequest {
     req: ReadRequest,
+    /// The subarray of the request's row, computed once at admission.
+    subarray: u32,
     bursts_done: u32,
     /// Whether the hit/miss classification has been recorded.
     classified: bool,
@@ -234,9 +241,9 @@ struct BankPick {
     floor: Cycle,
 }
 
-/// In debug builds, every this-many-th pick is also made from freshly
-/// evaluated, unscreened banks and checked against the cached, screened
-/// pick.
+/// In debug builds, every this-many-th pick is also made by estimating
+/// every freshly evaluated bank, and checked against the floor-ordered
+/// search over the cached picks.
 #[cfg(debug_assertions)]
 const PICK_AUDIT_EVERY: u64 = 16;
 
@@ -255,6 +262,13 @@ pub struct Controller {
     /// Per flat bank: whether its state or queue changed since its pick was
     /// built.
     stale: Vec<bool>,
+    /// The stale banks, each listed once, in the order they went stale.
+    dirty: Vec<usize>,
+    /// `(floor, bank)` of every bank that has a pick, ascending.
+    by_floor: Vec<(Cycle, usize)>,
+    /// Per rank: its activation window this pick, read on first use
+    /// (`None` until then).
+    act_windows: Vec<Option<Cycle>>,
     /// SALP mode each bank has been used in (a bank either has SALP
     /// support or it does not — mixing modes is a caller bug).
     bank_salp_mode: Vec<Option<bool>>,
@@ -288,6 +302,9 @@ impl Controller {
             queues: vec![VecDeque::new(); banks],
             picks: vec![None; banks],
             stale: vec![false; banks],
+            dirty: Vec::new(),
+            by_floor: Vec::new(),
+            act_windows: vec![None; topo.ranks as usize],
             bank_salp_mode: vec![None; banks],
             global_window: None,
             pending: VecDeque::new(),
@@ -375,8 +392,9 @@ impl Controller {
         let flat = req.addr.flat_bank(&self.cfg.topology) as usize;
         self.next_seq += 1;
         self.outstanding += 1;
-        self.stale[flat] = true;
+        self.mark_stale(flat);
         self.queues[flat].push_back(ActiveRequest {
+            subarray: req.addr.subarray(&self.cfg.topology),
             req,
             bursts_done: 0,
             classified: false,
@@ -460,17 +478,41 @@ impl Controller {
         &mut self.stats.energy
     }
 
+    /// Marks a bank's pick stale, listing the bank once for the next
+    /// rebuild.
+    fn mark_stale(&mut self, bank: usize) {
+        if !std::mem::replace(&mut self.stale[bank], true) {
+            self.dirty.push(bank);
+        }
+    }
+
     /// Chooses the globally earliest next command:
     /// `(bank, index, kind, estimated cycle)`. Rebuilds the picks of the
-    /// banks that changed since the last call, then scans them all.
+    /// banks that changed since the last call, moves them in the floor
+    /// index, then searches it.
     fn pick_next(&mut self) -> Option<(usize, usize, CommandKind, Cycle)> {
-        for bank in 0..self.queues.len() {
-            if std::mem::take(&mut self.stale[bank]) {
-                self.picks[bank] = self.bank_pick(bank);
-                self.stats.work.bank_evals += u64::from(!self.queues[bank].is_empty());
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &bank in &dirty {
+            self.stale[bank] = false;
+            let pick = self.bank_pick(bank);
+            let old = self.picks[bank].as_ref().map(|p| (p.floor, bank));
+            let new = pick.as_ref().map(|p| (p.floor, bank));
+            if old != new {
+                if let Some(key) = old {
+                    let at = self.by_floor.binary_search(&key).expect("indexed");
+                    self.by_floor.remove(at);
+                }
+                if let Some(key) = new {
+                    let at = self.by_floor.binary_search(&key).expect_err("once");
+                    self.by_floor.insert(at, key);
+                }
             }
+            self.stats.work.bank_evals += u64::from(pick.is_some());
+            self.picks[bank] = pick;
         }
-        let (best, estimates) = self.scan(&self.picks, true);
+        dirty.clear();
+        self.dirty = dirty;
+        let (best, estimates) = self.search();
         self.stats.work.picks += 1;
         self.stats.work.estimates += estimates;
         #[cfg(debug_assertions)]
@@ -479,66 +521,87 @@ impl Controller {
                 .map(|bank| self.bank_pick(bank))
                 .collect();
             debug_assert_eq!(fresh, self.picks, "a cached bank pick went stale");
+            let mut index: Vec<_> = fresh
+                .iter()
+                .enumerate()
+                .filter_map(|(bank, p)| Some((p.as_ref()?.floor, bank)))
+                .collect();
+            index.sort_unstable();
+            debug_assert_eq!(index, self.by_floor, "the floor index went stale");
             debug_assert_eq!(
-                self.scan(&fresh, false).0,
+                self.full_scan(&fresh),
                 best,
-                "screened pick must equal a full rescan"
+                "the floor-ordered search must equal a full rescan"
             );
         }
         best
     }
 
-    /// The earliest command among the banks' `picks`, each combined with
-    /// its bank group's and rank's *current* bounds; ties go to the lower
-    /// bank, so the pick is the least `(estimate, bank)`. Also returns the
-    /// number of estimates computed.
+    /// The earliest command of all banks, each bank's cached pick combined
+    /// with its bank group's and rank's *current* bounds; ties go to the
+    /// lower bank, so the pick is the least `(estimate, bank)`. Also
+    /// returns the number of estimates computed.
     ///
-    /// With `screen`, the bank of least floor is estimated first, and then
-    /// every bank whose `(floor, bank)` is not below the best
-    /// `(estimate, bank)` so far is skipped: no estimate of it is lower
-    /// than its floor, so it cannot win.
-    fn scan(
-        &self,
-        picks: &[Option<BankPick>],
-        screen: bool,
-    ) -> (Option<(usize, usize, CommandKind, Cycle)>, u64) {
+    /// Banks are visited in `(floor, bank)` order, and the walk stops at the
+    /// first one not below the best `(estimate, bank)` so far: no estimate
+    /// of a bank is below its floor, so neither it nor any later bank can
+    /// win. A bank whose candidates are all activations is skipped without
+    /// an estimate when the later of its floor and its activation window
+    /// (its group's tRRD_L bound, its rank's tRRD_S and tFAW bound) is not
+    /// below the best: that later cycle is its exact estimate. Each rank's
+    /// window is read from the timing state at the first such bank of each
+    /// pick, so the skip never rests on a window from an earlier pick.
+    fn search(&mut self) -> (Option<(usize, usize, CommandKind, Cycle)>, u64) {
+        self.act_windows.fill(None);
         let mut best: Option<(Cycle, usize, usize, CommandKind)> = None;
         let mut estimates = 0;
-        let consider = |best: &mut Option<(Cycle, usize, usize, CommandKind)>, bank: usize, p| {
-            let (idx, kind, est, n) = self.estimate(p);
-            if best.is_none_or(|(b_est, b_bank, ..)| (est, bank) < (b_est, b_bank)) {
-                *best = Some((est, bank, idx, kind));
+        for &(floor, bank) in &self.by_floor {
+            let beats = |at: Cycle| best.is_none_or(|(est, b, ..)| (at, bank) < (est, b));
+            if !beats(floor) {
+                break;
             }
-            n
-        };
-        let seed = screen
-            .then(|| {
-                picks
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(bank, p)| Some((p.as_ref()?.floor, bank)))
-                    .min()
-            })
-            .flatten();
-        if let Some((_, bank)) = seed {
-            estimates += consider(&mut best, bank, picks[bank].as_ref().expect("a pick"));
-        }
-        for (bank, pick) in picks.iter().enumerate() {
-            let Some(p) = pick else {
-                continue;
-            };
-            if let Some((_, seeded)) = seed {
-                let beaten = best.is_some_and(|(est, b, ..)| (p.floor, bank) >= (est, b));
-                if bank == seeded || beaten {
+            let p = self.picks[bank].as_ref().expect("indexed banks have picks");
+            // An activation pick's overlap list holds only ACT_SAs, so every
+            // candidate shares the activation window.
+            if p.cmd.kind.is_activate() {
+                let addr = &p.cmd.addr;
+                let topo = &self.cfg.topology;
+                let rank = addr.rank as usize;
+                let window = *self.act_windows[rank]
+                    .get_or_insert_with(|| self.timing.rank_act_window(rank));
+                let group = self
+                    .timing
+                    .group_next_act(addr.flat_bank_group(topo) as usize);
+                if !beats(floor.max(window).max(group)) {
                     continue;
                 }
             }
-            estimates += consider(&mut best, bank, p);
+            let (idx, kind, est, n) = self.estimate(p);
+            estimates += n;
+            if beats(est) {
+                best = Some((est, bank, idx, kind));
+            }
         }
         (
             best.map(|(est, bank, idx, kind)| (bank, idx, kind, est)),
             estimates,
         )
+    }
+
+    /// The least `(estimate, bank)` over every bank of `picks`, each one
+    /// estimated: the oracle the debug audit checks [`search`](Self::search)
+    /// against.
+    #[cfg(debug_assertions)]
+    fn full_scan(&self, picks: &[Option<BankPick>]) -> Option<(usize, usize, CommandKind, Cycle)> {
+        picks
+            .iter()
+            .enumerate()
+            .filter_map(|(bank, p)| {
+                let (idx, kind, est, _) = self.estimate(p.as_ref()?);
+                Some((est, bank, idx, kind))
+            })
+            .min_by_key(|&(est, bank, ..)| (est, bank))
+            .map(|(est, bank, idx, kind)| (bank, idx, kind, est))
     }
 
     /// One bank's exact best candidate, `(index, kind, estimate)`: its
@@ -587,7 +650,6 @@ impl Controller {
         // one that would thrash a local row buffer another queued request
         // still needs (same-subarray conflicts re-activate endlessly).
         let mut overlap: Vec<(usize, Cycle)> = Vec::new();
-        let topo = &self.cfg.topology;
         'outer: for (i, a) in q.iter().enumerate().take(BANK_WINDOW) {
             if i == idx || !a.req.salp {
                 continue;
@@ -596,20 +658,15 @@ impl Controller {
             if act.kind != CommandKind::ActSa || overlap.last().is_some_and(|&(_, l)| local >= l) {
                 continue;
             }
-            let sa = a.req.addr.subarray(topo);
             for (j, other) in q.iter().enumerate().take(BANK_WINDOW) {
-                if j == i || !other.req.salp {
-                    continue;
-                }
-                let other_sa = other.req.addr.subarray(topo);
-                if other_sa != sa {
+                if j == i || !other.req.salp || other.subarray != a.subarray {
                     continue;
                 }
                 // The buffer currently holds a row some request wants, or
                 // an older request needs a different row of this subarray
                 // first: leave it alone.
-                let useful =
-                    self.timing.local_row(&other.req.addr, other_sa) == Some(other.req.addr.row);
+                let useful = self.timing.local_row(&other.req.addr, other.subarray)
+                    == Some(other.req.addr.row);
                 if useful || (j < i && other.req.addr.row != a.req.addr.row) {
                     continue 'outer;
                 }
@@ -628,13 +685,12 @@ impl Controller {
 
     /// Applies the scheduling policy within one bank window.
     fn select_in_window(&self, q: &VecDeque<ActiveRequest>) -> Option<usize> {
-        let topo = &self.cfg.topology;
         let in_window = || q.iter().enumerate().take(BANK_WINDOW);
         let first_eligible = in_window().next()?.0;
         match self.policy {
             SchedulePolicy::FrFcfs => Some(
                 in_window()
-                    .find(|(_, a)| self.is_row_hit(&a.req))
+                    .find(|(_, a)| self.is_row_hit(a))
                     .map(|(i, _)| i)
                     .unwrap_or(first_eligible),
             ),
@@ -644,7 +700,7 @@ impl Controller {
                 if let Some((i, _)) = in_window().find(|(_, a)| {
                     let r = &a.req;
                     if r.salp {
-                        let sa = r.addr.subarray(topo);
+                        let sa = a.subarray;
                         self.timing.selected_subarray(&r.addr) == Some(sa)
                             && self.timing.local_row(&r.addr, sa) == Some(r.addr.row)
                     } else {
@@ -656,10 +712,7 @@ impl Controller {
                 // Priority 2: hit in any activated local row buffer.
                 if let Some((i, _)) = in_window().find(|(_, a)| {
                     a.req.salp
-                        && self
-                            .timing
-                            .local_row(&a.req.addr, a.req.addr.subarray(topo))
-                            == Some(a.req.addr.row)
+                        && self.timing.local_row(&a.req.addr, a.subarray) == Some(a.req.addr.row)
                 }) {
                     return Some(i);
                 }
@@ -669,8 +722,7 @@ impl Controller {
                     .front()
                     .and_then(|a| self.timing.selected_subarray(&a.req.addr))
                 {
-                    if let Some((i, _)) =
-                        in_window().find(|(_, a)| a.req.salp && a.req.addr.subarray(topo) != sel)
+                    if let Some((i, _)) = in_window().find(|(_, a)| a.req.salp && a.subarray != sel)
                     {
                         return Some(i);
                     }
@@ -680,10 +732,10 @@ impl Controller {
         }
     }
 
-    fn is_row_hit(&self, r: &ReadRequest) -> bool {
-        let topo = &self.cfg.topology;
+    fn is_row_hit(&self, a: &ActiveRequest) -> bool {
+        let r = &a.req;
         if r.salp {
-            self.timing.local_row(&r.addr, r.addr.subarray(topo)) == Some(r.addr.row)
+            self.timing.local_row(&r.addr, a.subarray) == Some(r.addr.row)
         } else {
             self.timing.open_row(&r.addr) == Some(r.addr.row)
         }
@@ -694,7 +746,7 @@ impl Controller {
     fn local_step(&self, a: &ActiveRequest) -> (Command, Cycle) {
         let r = &a.req;
         let kind = if r.salp {
-            let sa = r.addr.subarray(&self.cfg.topology);
+            let sa = a.subarray;
             if self.timing.local_row(&r.addr, sa) != Some(r.addr.row) {
                 CommandKind::ActSa
             } else if self.timing.selected_subarray(&r.addr) != Some(sa) {
@@ -862,9 +914,11 @@ impl Controller {
         if kind == CommandKind::Ref {
             let per_rank = topo.banks_per_rank() as usize;
             let base = addr.rank as usize * per_rank;
-            self.stale[base..base + per_rank].fill(true);
+            for bank in base..base + per_rank {
+                self.mark_stale(bank);
+            }
         } else {
-            self.stale[addr.flat_bank(topo) as usize] = true;
+            self.mark_stale(addr.flat_bank(topo) as usize);
         }
         let latest = &mut self.rank_latest[addr.rank as usize];
         *latest = (*latest).max(at);

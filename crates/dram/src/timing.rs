@@ -343,8 +343,10 @@ impl TimingState {
     /// rank of `cmd` set: the ACT windows (tRRD, tFAW) and the column
     /// cadence (tCCD) of the I/O scopes a read's or write's data crosses (a
     /// bank-PE access shares nothing beyond its own column path). Unlike
-    /// the bank bound it is not monotone: commands do not commit in cycle
-    /// order, so the tFAW term can fall.
+    /// the bank bound it moves when other banks of the group or rank
+    /// issue. It never falls: every group and rank timer only rises, and
+    /// the rank's tRRD_S timer makes its activations commit in cycle
+    /// order, so the tFAW term `recent_acts[len-4] + tFAW` only rises too.
     ///
     /// # Panics
     ///
@@ -354,13 +356,7 @@ impl TimingState {
         let r = &self.ranks[cmd.addr.rank as usize];
         let (group_next, rank_next) = match cmd.kind {
             CommandKind::Act | CommandKind::ActSa => {
-                let mut ready = g.next_act.max(r.next_act);
-                // tFAW: at most 4 activations per rank per window.
-                if r.recent_acts.len() >= 4 {
-                    let oldest = r.recent_acts[r.recent_acts.len() - 4];
-                    ready = ready.max(oldest + self.t.t_faw);
-                }
-                return ready;
+                return g.next_act.max(self.rank_act_window(cmd.addr.rank as usize));
             }
             CommandKind::Rd => (g.next_rd, r.next_rd),
             CommandKind::Wr => (g.next_wr, r.next_wr),
@@ -371,6 +367,27 @@ impl TimingState {
             DataScope::Bank => 0,
             DataScope::BankGroup => group_next,
             DataScope::Rank => group_next.max(rank_next),
+        }
+    }
+
+    /// The bank-group part of an activation's shared bound (tRRD_L):
+    /// the earliest cycle an ACT or ACT_SA to flat bank group `group` may
+    /// issue as far as that group alone decides.
+    pub(crate) fn group_next_act(&self, group: usize) -> Cycle {
+        self.groups[group].next_act
+    }
+
+    /// The rank part of an activation's shared bound: tRRD_S and the tFAW
+    /// window of rank `rank`. An activation's shared bound is the later of
+    /// this and [`group_next_act`](Self::group_next_act). It moves when
+    /// any bank of the rank activates or the rank refreshes, so callers
+    /// read it afresh rather than caching it per bank.
+    pub(crate) fn rank_act_window(&self, rank: usize) -> Cycle {
+        let r = &self.ranks[rank];
+        // tFAW: at most 4 activations per rank per window.
+        match r.recent_acts.len() {
+            n if n >= 4 => r.next_act.max(r.recent_acts[n - 4] + self.t.t_faw),
+            _ => r.next_act,
         }
     }
 
