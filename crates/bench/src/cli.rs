@@ -215,6 +215,19 @@ pub fn parse_slo_p99(args: &[String]) -> Result<f64, String> {
 /// single-point runs.
 pub const DEFAULT_LOAD: f64 = 0.9;
 
+/// The range `--load` and each `--tenants` share must lie in. Outside it
+/// an arrival rate leaves what the arrival generator can represent: a
+/// load of 1e-15 overflows the arrival cycles, a load of 1e308 or two
+/// shares that large overflow the rate, and a share of 1e-320 beside one
+/// of 1e308 rounds its class's rate to zero.
+pub const VALUE_RANGE: (f64, f64) = (1e-6, 1e6);
+
+/// Parses `s` as a number in [`VALUE_RANGE`].
+fn in_value_range(s: &str) -> Option<f64> {
+    let (lo, hi) = VALUE_RANGE;
+    s.parse::<f64>().ok().filter(|v| (lo..=hi).contains(v))
+}
+
 /// Parses `--arch=NAME` — the accelerator substrate for single-point
 /// runs. Accepts `cpu` or `recross` (case-insensitive), returning the
 /// canonical report label; defaults to `"ReCross"`.
@@ -231,17 +244,15 @@ pub fn parse_arch(args: &[String]) -> Result<&'static str, String> {
 
 /// Parses `--load=FRACTION` (defaulting to [`DEFAULT_LOAD`]) — the
 /// offered load as a fraction of the substrate's estimated capacity.
-/// Must be finite and strictly positive; values above 1 deliberately
-/// overload the server.
+/// Must lie in [`VALUE_RANGE`]; values above 1 deliberately overload the
+/// server.
 pub fn parse_load(args: &[String]) -> Result<f64, String> {
     match value_of(args, "--load") {
         None => Ok(DEFAULT_LOAD),
-        Some(s) => match s.parse::<f64>() {
-            Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-            _ => Err(format!(
-                "--load expects a positive capacity fraction, got {s:?}"
-            )),
-        },
+        Some(s) => in_value_range(s).ok_or_else(|| {
+            let (lo, hi) = VALUE_RANGE;
+            format!("--load expects a capacity fraction in [{lo:e}, {hi:e}], got {s:?}")
+        }),
     }
 }
 
@@ -272,7 +283,7 @@ pub fn parse_obs_summary(args: &[String]) -> ObsSummary<'_> {
 
 /// Parses a deadline literal: a positive decimal number immediately
 /// followed by a unit — `us`, `ms`, or `s` — e.g. `200us`, `2.5ms`, `1s`.
-/// Returns the value in microseconds.
+/// Returns the value in microseconds, which must be finite too.
 fn parse_deadline_us(s: &str) -> Result<f64, String> {
     let (number, factor) = if let Some(n) = s.strip_suffix("us") {
         (n, 1.0)
@@ -283,9 +294,11 @@ fn parse_deadline_us(s: &str) -> Result<f64, String> {
     } else {
         return Err(format!("deadline needs a unit suffix (us|ms|s), got {s:?}"));
     };
-    match number.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => Ok(v * factor),
-        _ => Err(format!("deadline must be a positive number, got {s:?}")),
+    match number.parse::<f64>().map(|v| v * factor) {
+        Ok(us) if us.is_finite() && us > 0.0 => Ok(us),
+        _ => Err(format!(
+            "deadline must be a finite positive number, got {s:?}"
+        )),
     }
 }
 
@@ -300,13 +313,11 @@ fn parse_tenant_class(spec: &str) -> Result<TenantClass, String> {
     if name.is_empty() {
         return Err(format!("tenant name must be non-empty in {spec:?}"));
     }
-    let share = match share.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => v,
-        _ => {
-            return Err(format!(
-                "tenant share must be a positive number, got {share:?} in {spec:?}"
-            ))
-        }
+    let Some(share) = in_value_range(share) else {
+        let (lo, hi) = VALUE_RANGE;
+        return Err(format!(
+            "tenant share must be in [{lo:e}, {hi:e}], got {share:?} in {spec:?}"
+        ));
     };
     let process = TenantProcess::parse(process).ok_or_else(|| {
         format!("tenant process must be poisson|bursty|mmpp, got {process:?} in {spec:?}")
@@ -331,7 +342,8 @@ fn parse_tenant_class(spec: &str) -> Result<TenantClass, String> {
 /// `name:share:process:deadline:priority`:
 ///
 /// * `name` — non-empty label, unique within the mix;
-/// * `share` — positive traffic share (normalized by the sum of shares);
+/// * `share` — traffic share in [`VALUE_RANGE`] (normalized by the sum of
+///   shares, so every class gets a positive, finite rate);
 /// * `process` — `poisson`, `bursty`, or `mmpp` (alias of `bursty`);
 /// * `deadline` — positive number with unit `us`, `ms`, or `s`;
 /// * `priority` — `high`, `normal`, or `low`.
@@ -408,11 +420,13 @@ mod tests {
         assert_eq!(parse_load(&args(&["--load=0.5"])), Ok(0.5));
         // Overload points are allowed: that is where shedding happens.
         assert_eq!(parse_load(&args(&["--load=1.4"])), Ok(1.4));
-        for bad in ["banana", "0", "-1", "nan", "inf", ""] {
+        assert_eq!(parse_load(&args(&["--load=1e-6"])), Ok(1e-6));
+        assert_eq!(parse_load(&args(&["--load=1e6"])), Ok(1e6));
+        for bad in ["banana", "0", "-1", "nan", "inf", "", "1e-15", "1e308"] {
             let err = parse_load(&args(&[&format!("--load={bad}")])).unwrap_err();
             assert_eq!(
                 err,
-                format!("--load expects a positive capacity fraction, got {bad:?}"),
+                format!("--load expects a capacity fraction in [1e-6, 1e6], got {bad:?}"),
             );
         }
     }
@@ -487,11 +501,18 @@ mod tests {
         let err = |spec: &str| parse_tenants(&args(&[&format!("--tenants={spec}")])).unwrap_err();
         assert!(err("").contains("at least one tenant class"));
         assert!(err("rt:0.7:poisson:200us").contains("name:share:process:deadline:priority"));
-        assert!(err("rt:zero:poisson:200us:high").contains("share must be a positive number"));
-        assert!(err("rt:-1:poisson:200us:high").contains("share must be a positive number"));
+        for share in ["zero", "-1", "1e-7", "1e308"] {
+            let spec = format!("rt:{share}:poisson:200us:high");
+            assert!(
+                err(&spec).contains("share must be in [1e-6, 1e6]"),
+                "{spec}"
+            );
+        }
         assert!(err("rt:0.7:uniform:200us:high").contains("poisson|bursty|mmpp"));
         assert!(err("rt:0.7:poisson:200:high").contains("unit suffix"));
         assert!(err("rt:0.7:poisson:-5us:high").contains("positive number"));
+        // Finite before scaling, infinite in microseconds.
+        assert!(err("rt:0.7:poisson:1e306s:high").contains("finite positive number"));
         assert!(err("rt:0.7:poisson:200us:urgent").contains("high|normal|low"));
         assert!(
             err("rt:1:poisson:200us:high,rt:1:poisson:300us:low").contains("duplicate tenant name")

@@ -4,17 +4,18 @@
 
 use std::process::Command;
 
-/// Runs `repro` with `args` and returns (exit code, stdout, stderr).
-fn repro(args: &[&str]) -> (Option<i32>, String, String) {
+/// Runs `repro` with `args`, asserts that it exits 2 having printed
+/// nothing to stdout, and returns its stderr.
+fn rejected(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .output()
         .expect("repro runs");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.is_empty(), "{args:?}: nothing runs, got {stdout}");
+    stderr
 }
 
 /// `--load` and `--arch` are checked in every `serve` mode, not only when
@@ -26,16 +27,8 @@ fn serve_rejects_bad_load_and_arch_without_tracing_flags() {
         ("--load=nan", "--load"),
         ("--arch=foo", "--arch"),
     ] {
-        let (code, stdout, stderr) = repro(&["--quick", "serve", arg]);
-        assert_eq!(code, Some(2), "{arg}: exit status (stderr: {stderr})");
-        assert!(
-            stderr.contains(flag),
-            "{arg}: stderr names {flag}: {stderr}"
-        );
-        assert!(
-            stdout.is_empty(),
-            "{arg}: nothing runs, got stdout {stdout}"
-        );
+        let stderr = rejected(&["--quick", "serve", arg]);
+        assert!(stderr.contains(flag), "{arg}: names {flag}: {stderr}");
     }
 }
 
@@ -53,15 +46,28 @@ fn flags_the_chosen_mode_never_reads_exit_2() {
         (&["--quick", "fig9", "--seed=3"], "--seed"),
         (&["--quick", "run", "--bursty"], "--bursty"),
     ] {
-        let (code, stdout, stderr) = repro(args);
-        assert_eq!(code, Some(2), "{args:?}: exit status (stderr: {stderr})");
-        assert!(
-            stderr.starts_with(&format!("{flag} is not read by ")),
-            "{args:?}: stderr names {flag}: {stderr}"
-        );
-        assert!(
-            stdout.is_empty(),
-            "{args:?}: nothing runs, got stdout {stdout}"
-        );
+        let stderr = rejected(args);
+        let named = stderr.starts_with(&format!("{flag} is not read by "));
+        assert!(named, "{args:?}: names {flag}: {stderr}");
+    }
+}
+
+/// Values that parse as numbers but overflow once scaled (a deadline in
+/// microseconds, the sum of the shares, the arrival rate or its cycles)
+/// exit 2 naming the flag, instead of panicking in the simulation.
+#[test]
+fn out_of_range_values_exit_2() {
+    let summary = format!("--obs-summary={}/unused.json", env!("CARGO_TARGET_TMPDIR"));
+    for (value, flag) in [
+        ("--tenants=a:1:poisson:1e306s:high", "--tenants"),
+        (
+            "--tenants=a:1e308:poisson:1ms:high,b:1e308:poisson:1ms:low",
+            "--tenants",
+        ),
+        ("--load=1e308", "--load"),
+        ("--load=1e-15", "--load"),
+    ] {
+        let stderr = rejected(&["--quick", "serve", value, &summary]);
+        assert!(stderr.contains(flag), "{value}: names {flag}: {stderr}");
     }
 }

@@ -47,7 +47,6 @@ pub mod cache;
 pub mod cost;
 pub mod cpu;
 pub mod engine;
-pub mod fafnir;
 pub mod layout;
 pub mod multichannel;
 pub mod profile;
@@ -62,7 +61,6 @@ pub use cpu::CpuBaseline;
 pub use engine::{
     execute, internal_bandwidth, EngineConfig, LookupPlan, PlacedRead, Planner, Prepared,
 };
-pub use fafnir::Fafnir;
 pub use multichannel::{run_multichannel, ChannelPlan};
 pub use profile::AccessProfile;
 pub use recnmp::RecNmp;

@@ -330,7 +330,6 @@ mod tests {
     use super::*;
     use crate::accel::EmbeddingAccelerator;
     use crate::cpu::CpuBaseline;
-    use crate::fafnir::Fafnir;
     use crate::recnmp::RecNmp;
     use crate::tensordimm::TensorDimm;
     use crate::trim::Trim;
@@ -358,7 +357,6 @@ mod tests {
             Box::new(RecNmp::new(d.clone())),
             Box::new(Trim::bank_group(d.clone())),
             Box::new(Trim::bank(d.clone())),
-            Box::new(Fafnir::new(d.clone())),
         ];
         for mut model in models {
             let mut session = model.open_session(&t.tables);

@@ -62,32 +62,6 @@ pub const CRITEO_KAGGLE_CARDINALITIES: [u64; 26] = [
     27, 14_992, 5_461_306, 10, 5_652, 2_173, 4, 7_046_547, 18, 15, 286_181, 105, 142_572,
 ];
 
-/// Row cardinalities in the spirit of the Criteo Terabyte click logs (the
-/// paper's ref. 1) with the common 10M-row hashing cap applied to the
-/// largest features, as the DLRM reference implementation does
-/// (`--max-ind-range=10000000`).
-pub const CRITEO_TERABYTE_CARDINALITIES: [u64; 26] = [
-    9_980_333, 36_084, 17_217, 7_420, 20_263, 3, 7_120, 1_543, 63, 9_999_977, 2_642_264, 9_960_506,
-    11, 2_208, 11_938, 155, 4, 976, 14, 9_994_222, 9_979_771, 9_988_475, 490_581, 12_022, 108, 36,
-];
-
-/// Builds the 26-table Criteo-Terabyte-like embedding layer.
-///
-/// # Examples
-///
-/// ```
-/// use recross_workload::table::criteo_terabyte_tables;
-///
-/// let tables = criteo_terabyte_tables(64);
-/// assert_eq!(tables.len(), 26);
-/// ```
-pub fn criteo_terabyte_tables(dim: u32) -> Vec<EmbeddingTableSpec> {
-    CRITEO_TERABYTE_CARDINALITIES
-        .iter()
-        .map(|&rows| EmbeddingTableSpec::new(rows, dim))
-        .collect()
-}
-
 /// Builds the 26-table Criteo-Kaggle-like embedding layer used throughout the
 /// evaluation, with a common embedding dimension.
 ///
@@ -155,14 +129,6 @@ mod tests {
         let t = scaled_criteo_tables(16, 1000);
         assert_eq!(t.len(), 26);
         assert!(t.iter().all(|s| s.rows >= 4));
-    }
-
-    #[test]
-    fn terabyte_tables_are_bigger() {
-        let kaggle: u64 = criteo_kaggle_tables(64).iter().map(|t| t.rows).sum();
-        let terabyte: u64 = criteo_terabyte_tables(64).iter().map(|t| t.rows).sum();
-        assert!(terabyte > kaggle);
-        assert_eq!(criteo_terabyte_tables(32).len(), 26);
     }
 
     #[test]

@@ -262,13 +262,6 @@ impl TraceGenerator {
         Self::new(tables, dists)
     }
 
-    /// The Criteo-Terabyte-like workload (larger hot tables, harder skew).
-    pub fn criteo_terabyte(dim: u32) -> Self {
-        let tables = crate::table::criteo_terabyte_tables(dim);
-        let dists = spread_distributions(&tables);
-        Self::new(tables, dists)
-    }
-
     /// A scaled-down Criteo-like workload for fast tests and benches.
     pub fn criteo_scaled(dim: u32, factor: u64) -> Self {
         let tables = crate::table::scaled_criteo_tables(dim, factor);
@@ -450,14 +443,6 @@ mod tests {
         let p = FeistelPermutation::new(1_000_000, 1);
         let in_front = (0..100).filter(|&r| p.permute(r) < 10_000).count();
         assert!(in_front < 10, "head should be scattered, got {in_front}");
-    }
-
-    #[test]
-    fn terabyte_generator_works() {
-        let g = TraceGenerator::criteo_terabyte(16).batch_size(1).pooling(4);
-        let t = g.generate(1);
-        assert_eq!(t.tables.len(), 26);
-        assert!(t.lookups() > 0);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub mod prelude {
     pub use recross::{empirical_profiles, ReCross, ReCrossConfig};
     pub use recross_dram::{Cycle, DramConfig};
     pub use recross_nmp::{
-        AccessProfile, ChannelPlan, CpuBaseline, EmbeddingAccelerator, Fafnir, MemoizedSession,
-        RecNmp, RunReport, ServiceSession, SessionStats, TensorDimm, Trim,
+        AccessProfile, ChannelPlan, CpuBaseline, EmbeddingAccelerator, MemoizedSession, RecNmp,
+        RunReport, ServiceSession, SessionStats, TensorDimm, Trim,
     };
     pub use recross_serve::{
         open_sessions, simulate_sessions, simulate_tenant_sessions, slo_search, slo_search_tenants,

@@ -36,7 +36,7 @@ use recross_bench::experiments::{
 use recross_bench::runtrace::closed_loop_trace_with;
 use recross_bench::serving::{self, TraceOptions, Traffic};
 use recross_bench::workloads::{dram, generator, Scale};
-use recross_nmp::{AccessProfile, EmbeddingAccelerator, Fafnir, RunReport};
+use recross_nmp::{AccessProfile, RunReport};
 use recross_serve::{Priority, QueuePolicy, TenantClass, TenantMix, TenantProcess};
 
 const SEED: u64 = 7;
@@ -267,29 +267,6 @@ fn run_all_reports_match_golden() {
         of_run_reports(&reports),
         0xed68_b807_9991_22cc,
     )]);
-}
-
-/// FAFNIR is not in `run_all`; pin its offline report and the cycles its
-/// serving session prices each batch at.
-#[test]
-fn fafnir_report_and_session_match_golden() {
-    let g = generator(Scale::Tiny, 64).batches(4);
-    let trace = g.generate(SEED);
-    let mut fafnir = Fafnir::new(dram());
-    let report = fafnir.run(&trace);
-    let mut session = fafnir.open_session(&trace.tables);
-    let mut cycles = Fnv::default();
-    for batch in &trace.batches {
-        cycles.u64(session.service(batch));
-    }
-    check(&[
-        (
-            "FAFNIR RunReport",
-            of_run_reports(&[report]),
-            0xd0e9_46b2_680f_2748,
-        ),
-        ("FAFNIR session cycles", cycles.0, 0xcab9_e1e0_a4c5_c3ea),
-    ]);
 }
 
 #[test]

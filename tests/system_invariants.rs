@@ -8,7 +8,7 @@ use recross_repro::dram::{CommandKind, DramConfig, IssuedCommand};
 use recross_repro::nmp::accel::EmbeddingAccelerator;
 use recross_repro::nmp::multichannel::{run_multichannel, ChannelPlan};
 use recross_repro::nmp::{
-    execute, AccessProfile, CpuBaseline, Fafnir, PlacedRead, Prepared, RecNmp, TensorDimm, Trim,
+    execute, AccessProfile, CpuBaseline, PlacedRead, Prepared, RecNmp, TensorDimm, Trim,
 };
 use recross_repro::recross::config::ReCrossConfig;
 use recross_repro::recross::engine::ReCross;
@@ -34,7 +34,6 @@ fn all_reports(trace: &Trace, g: &TraceGenerator) -> Vec<recross_repro::nmp::Run
             .with_profile(profile.clone())
             .run(trace),
         Trim::bank(d.clone()).with_profile(profile).run(trace),
-        Fafnir::new(d.clone()).run(trace),
     ];
     let mut rc =
         ReCross::new(ReCrossConfig::default_d(d), analytic_profiles(g), 4.0).expect("fits");
@@ -143,17 +142,6 @@ fn multichannel_recross_matches_golden() {
 }
 
 #[test]
-fn fafnir_slots_between_tensordimm_and_trim() {
-    let g = generator();
-    let trace = g.generate(45);
-    let r = all_reports(&trace, &g);
-    let by_name = |n: &str| r.iter().find(|x| x.name == n).unwrap().cycles;
-    // Rank-level FAFNIR cannot beat the in-chip TRiM levels.
-    assert!(by_name("FAFNIR") > by_name("TRiM-G"));
-    assert!(by_name("FAFNIR") > by_name("TRiM-B"));
-}
-
-#[test]
 fn determinism_across_runs() {
     let g = generator();
     let trace = g.generate(46);
@@ -181,13 +169,12 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Per model, in the order the test builds them: the name and the hash of
 /// every command (cycle, kind, address) of every batch stream. A scheduler
 /// or planner change that moves one command changes its model's hash.
-const STREAM_PINS: [(&str, u64); 13] = [
+const STREAM_PINS: [(&str, u64); 12] = [
     ("CPU", 0xacfa_5c4d_e689_66f0),
     ("TensorDIMM", 0xf8e8_a30e_a120_894f),
     ("RecNMP", 0x515a_5a9d_5817_701a),
     ("TRiM-G", 0x16d5_ab12_b745_f042),
     ("TRiM-B", 0x666d_e9eb_f8a9_2c37),
-    ("FAFNIR", 0x5cff_4757_081e_f462),
     ("ReCross-d", 0x137a_b063_cd31_6f17),
     ("ReCross-c1", 0xb709_9a5a_2e62_269d),
     ("ReCross-c2", 0xf30e_11f3_7019_4127),
@@ -223,7 +210,6 @@ fn real_command_streams_pass_the_timing_checker() {
         Box::new(RecNmp::new(d.clone())),
         Box::new(Trim::bank_group(d.clone()).with_profile(profile.clone())),
         Box::new(Trim::bank(d.clone()).with_profile(profile)),
-        Box::new(Fafnir::new(d.clone())),
     ];
     let mut configs = ReCrossConfig::exploration_set(d.clone());
     configs.push(ReCrossConfig::default_d(d.clone()).without_sap());
@@ -289,13 +275,12 @@ fn real_command_streams_pass_the_timing_checker() {
 /// estimates 3.8 candidates per CPU command and 16.0 per ReCross command
 /// (4.4 and 21.3 when every bank below the best was estimated in bank
 /// order).
-const WORK_PINS: [(&str, [u64; 4]); 7] = [
+const WORK_PINS: [(&str, [u64; 4]); 6] = [
     ("CPU", [4_757, 4_758, 5_911, 18_135]),
     ("TensorDIMM", [10_580, 7_061, 7_108, 19_021]),
     ("RecNMP", [3_160, 2_374, 2_370, 46_884]),
     ("TRiM-G", [7_048, 5_291, 5_302, 21_567]),
     ("TRiM-B", [7_048, 5_291, 5_301, 18_545]),
-    ("FAFNIR", [7_069, 5_312, 5_332, 83_040]),
     ("ReCross-d", [4_509, 4_513, 4_509, 71_921]),
 ];
 
