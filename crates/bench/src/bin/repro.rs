@@ -132,8 +132,7 @@ fn main() {
         .and_then(|()| cli::check_experiments(&what, &known))
         .and_then(|()| cli::check_modes(&args, &modes));
     if let Err(e) = checked {
-        eprintln!("{e}");
-        std::process::exit(2);
+        exit2(e);
     }
     let scale = if args.iter().any(|a| a == "--quick") {
         Scale::Quick
@@ -146,6 +145,13 @@ fn main() {
             run(scale, &args);
         }
     }
+}
+
+/// Prints `msg` on stderr and exits with status 2, the status of every
+/// rejected input and every output that cannot be written.
+fn exit2(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 fn banner(s: &str) {
@@ -381,11 +387,7 @@ fn training(scale: Scale) {
 fn serve(scale: Scale, args: &[String]) {
     use recross_serve::QueuePolicy;
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let tenants = cli::parse_tenants(args).unwrap_or_else(|e| fail(e));
+    let tenants = cli::parse_tenants(args).unwrap_or_else(|e| exit2(e));
     let traffic = match &tenants {
         Some(mix) => Traffic::Tenants(mix),
         None => Traffic::Stream {
@@ -404,10 +406,10 @@ fn serve(scale: Scale, args: &[String]) {
     } else {
         QueuePolicy::Fifo
     };
-    let seed = cli::parse_seed(args).unwrap_or_else(|e| fail(e));
-    let slo_p99_us = cli::parse_slo_p99(args).unwrap_or_else(|e| fail(e));
-    let load = cli::parse_load(args).unwrap_or_else(|e| fail(e));
-    let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
+    let seed = cli::parse_seed(args).unwrap_or_else(|e| exit2(e));
+    let slo_p99_us = cli::parse_slo_p99(args).unwrap_or_else(|e| exit2(e));
+    let load = cli::parse_load(args).unwrap_or_else(|e| exit2(e));
+    let arch = cli::parse_arch(args).unwrap_or_else(|e| exit2(e));
     let out = cli::value_of(args, "--out");
 
     let slo = args.iter().any(|a| a == "--slo-search");
@@ -430,7 +432,7 @@ fn serve(scale: Scale, args: &[String]) {
             let (_, max_qps, bracket_hi) = rates
                 .iter()
                 .find(|(a, _, _)| a == arch)
-                .unwrap_or_else(|| fail(format!("search produced no rate for {arch}")));
+                .unwrap_or_else(|| exit2(format!("search produced no rate for {arch}")));
             if *max_qps > 0.0 {
                 let load = max_qps / (bracket_hi / 2.0);
                 serve_trace_point(scale, traffic, policy, seed, load, arch, args);
@@ -443,8 +445,7 @@ fn serve(scale: Scale, args: &[String]) {
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, format!("{json}\n")) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
+                exit2(format!("cannot write {path}: {e}"));
             }
             println!("wrote {path}");
         }
@@ -456,8 +457,7 @@ fn serve(scale: Scale, args: &[String]) {
 /// landed where.
 fn write_artifact(path: &str, contents: &str, what: &str) {
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
+        exit2(format!("cannot write {path}: {e}"));
     }
     println!("wrote {what} {path}");
 }
@@ -476,10 +476,7 @@ fn emit_obs_summary(args: &[String], json: &str) {
 fn open_stream(path: &str) -> Box<dyn std::io::Write> {
     match std::fs::File::create(path) {
         Ok(f) => Box::new(std::io::BufWriter::new(f)),
-        Err(e) => {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => exit2(format!("cannot create {path}: {e}")),
     }
 }
 
@@ -535,10 +532,7 @@ fn serve_trace_point(
         dram_tracks,
         opts,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot write streamed trace: {e}");
-        std::process::exit(2);
-    });
+    .unwrap_or_else(|e| exit2(format!("cannot write streamed trace: {e}")));
     println!(
         "{}: {:.0} offered qps ({:.2}x of {:.0} capacity qps), {} requests: \
          {} completed, {} late, {} queue-shed, {} deadline-shed",
@@ -589,12 +583,8 @@ fn serve_trace_point(
 fn run_traced(scale: Scale, args: &[String]) {
     use recross_bench::runtrace;
 
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let arch = cli::parse_arch(args).unwrap_or_else(|e| fail(e));
-    let seed = cli::parse_seed(args).unwrap_or_else(|e| fail(e));
+    let arch = cli::parse_arch(args).unwrap_or_else(|e| exit2(e));
+    let seed = cli::parse_seed(args).unwrap_or_else(|e| exit2(e));
     let trace_out = cli::value_of(args, "--trace-out");
     let agg_out = cli::value_of(args, "--agg-out");
 
@@ -605,7 +595,7 @@ fn run_traced(scale: Scale, args: &[String]) {
         buffered: false,
     };
     let rt = runtrace::closed_loop_trace_with(scale, arch, seed, 0, opts)
-        .unwrap_or_else(|e| fail(format!("cannot write streamed trace: {e}")));
+        .unwrap_or_else(|e| exit2(format!("cannot write streamed trace: {e}")));
     println!(
         "{} ({}): {} batches, {} lookups, {} cycles, {} DRAM commands",
         rt.arch,

@@ -18,27 +18,27 @@
 //! Attribution is folded incrementally through
 //! [`recross_dram::attribution::AttributionBuilder`] as batches complete,
 //! so the stored summary never needs the full command vector. With
-//! [`TraceOptions`] the timeline can additionally be streamed to a writer
-//! and aggregated online while the run executes; `buffered: false` then
-//! drops the in-memory event buffer, bounding resident memory for long
-//! runs (`repro run --trace-out`).
+//! [`TraceOptions`] the timeline is streamed to a writer and/or kept in
+//! memory as Perfetto text, and aggregated online, while the run
+//! executes; with `buffered: false` resident memory stays bounded for
+//! long runs (`repro run --trace-out`).
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use recross_dram::attribution::{summarize, AttributionBuilder, CommandAttribution};
 use recross_dram::traceviz::{dram_tracks, record_commands};
-use recross_dram::{Cycle, DramConfig};
+use recross_dram::Cycle;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_obs::agg::{Aggregates, Aggregator};
-use recross_obs::{chrome_trace_string, fmt_f64, json_string, ChromeStreamSink, Recorder};
+use recross_obs::{fmt_f64, json_string, ChromeStreamSink, Recorder, SharedWriter, SinkStats};
 
 use crate::serving::{arch_sessions, scale_name, TraceOptions};
 use crate::workloads::{dram, generator, Scale};
 
 /// A captured closed-loop run: per-batch cycle costs, the incrementally
-/// folded bottleneck attribution, and the recorder holding the unified
-/// timeline.
+/// folded bottleneck attribution, and the unified timeline when it was
+/// kept in memory.
 #[derive(Debug)]
 pub struct RunTrace {
     /// Architecture name as it appears in the reports.
@@ -56,9 +56,9 @@ pub struct RunTrace {
     pub command_count: u64,
     attribution: CommandAttribution,
     agg: Option<Aggregates>,
-    buffered: bool,
-    recorder: Recorder,
-    dram: DramConfig,
+    perfetto: Option<String>,
+    heap_capacity: usize,
+    sinks: Vec<SinkStats>,
 }
 
 impl RunTrace {
@@ -79,19 +79,17 @@ impl RunTrace {
     }
 
     /// The unified Perfetto / Chrome-trace timeline (engine batch spans +
-    /// per-bank DRAM command tracks) as a JSON string. `None` for
-    /// unbuffered captures — the timeline was streamed to the
-    /// [`TraceOptions::stream`] writer instead.
+    /// per-bank DRAM command tracks) as a JSON string. `None` unless
+    /// [`TraceOptions::buffered`] was on.
     pub fn perfetto(&self) -> Option<String> {
-        self.buffered
-            .then(|| chrome_trace_string(&self.recorder, self.dram.cycles_to_ns(1)))
+        self.perfetto.clone()
     }
 
-    /// Per-sink drop counters and the recorder's report-time capacity
-    /// index ([`Recorder::heap_capacity`](recross_obs::Recorder::heap_capacity):
-    /// summed container capacities, not bytes), for human-readable output.
-    pub fn recorder_stats(&self) -> (usize, Vec<recross_obs::SinkStats>) {
-        (self.recorder.heap_capacity(), self.recorder.sink_stats())
+    /// Per-sink drop counters and the recorder's capacity index at the
+    /// end of the run ([`Recorder::heap_capacity`]: summed container
+    /// capacities, not bytes), for human-readable output.
+    pub fn recorder_stats(&self) -> (usize, Vec<SinkStats>) {
+        (self.heap_capacity, self.sinks.clone())
     }
 
     /// One human-readable attribution summary line.
@@ -101,8 +99,8 @@ impl RunTrace {
 
     /// The run as one JSON document: metadata envelope, per-batch cycle
     /// costs, and the bottleneck attribution under `"dram"`
-    /// (deterministic bytes for a given input — identical for buffered
-    /// and unbuffered captures of the same run).
+    /// (deterministic bytes for a given input, whatever the
+    /// [`TraceOptions`]).
     pub fn to_json(&self, scale: Scale, seed: u64) -> String {
         let batches: Vec<String> = self
             .batches
@@ -142,10 +140,8 @@ impl RunTrace {
 /// [`TraceOptions`] choose where the timeline goes: streamed to a writer
 /// while the run executes, aggregated online, and/or kept in memory for
 /// [`RunTrace::perfetto`] (`buffered`). Attribution and `to_json` do not
-/// depend on the options, since both fold incrementally. The streamed
-/// bytes are byte-identical to [`RunTrace::perfetto`] of a buffered
-/// capture with the same inputs. Returns `Err` only when the stream
-/// writer fails.
+/// depend on the options, since both fold incrementally. Returns `Err`
+/// only when the stream writer fails.
 pub fn closed_loop_trace_with(
     scale: Scale,
     arch: &str,
@@ -162,18 +158,20 @@ pub fn closed_loop_trace_with(
     let batch_hint = scale.batch_size() as f64;
     let session = &mut arch_sessions(arch, &trace, &plan, batch_hint)[0];
 
+    let ns = d.cycles_to_ns(1);
     let mut rec = Recorder::new();
+    let memory = opts.buffered.then(SharedWriter::new);
+    if let Some(m) = &memory {
+        rec.attach(Box::new(ChromeStreamSink::new(m.clone(), ns)));
+    }
     if let Some(w) = opts.stream {
-        rec.attach(Box::new(ChromeStreamSink::new(w, d.cycles_to_ns(1))));
+        rec.attach(Box::new(ChromeStreamSink::new(w, ns)));
     }
     let agg_handle = opts.agg.then(|| {
         let h = Rc::new(RefCell::new(Aggregator::default()));
         rec.attach(Box::new(h.clone()));
         h
     });
-    if !opts.buffered {
-        rec.unbuffer();
-    }
     let engine = rec.track("engine", None);
     let ch_root = rec.track("DRAM channel 0", None);
     let mut tracks = dram_tracks(&mut rec, ch_root, &d);
@@ -207,9 +205,9 @@ pub fn closed_loop_trace_with(
         command_count: builder.commands(),
         attribution: builder.snapshot(cursor),
         agg: agg_handle.map(|h| h.borrow().snapshot()),
-        buffered: opts.buffered,
-        recorder: rec,
-        dram: d,
+        perfetto: memory.map(|m| m.contents()),
+        heap_capacity: rec.heap_capacity(),
+        sinks: rec.sink_stats(),
     })
 }
 
@@ -297,9 +295,9 @@ mod tests {
         )
         .expect("stream writer cannot fail");
 
-        // The streamed file is byte-identical to the in-memory export,
+        // The streamed file holds the bytes the in-memory capture kept,
         // and the run's JSON (incremental attribution included) does not
-        // depend on whether events were retained.
+        // depend on where the timeline went.
         assert_eq!(out.contents(), buffered.perfetto().unwrap());
         assert_eq!(
             streamed.to_json(Scale::Tiny, 0xD17B),
@@ -312,7 +310,6 @@ mod tests {
         // one `batch` span per batch, makespan covering the run.
         let (_, sinks) = streamed.recorder_stats();
         assert!(sinks.iter().all(|s| s.dropped == 0));
-        assert!(sinks.iter().all(|s| s.kind != "memory"));
         let agg = streamed.aggregates().expect("agg enabled");
         let batch_spans = agg
             .spans

@@ -24,7 +24,7 @@ use recross::profile::empirical_profiles;
 use recross_nmp::multichannel::ChannelPlan;
 use recross_nmp::session::ServiceSession;
 use recross_nmp::{AccessProfile, CpuBaseline};
-use recross_obs::{fmt_f64, json_string};
+use recross_obs::{fmt_f64, json_string, SharedWriter};
 use recross_serve::{
     open_sessions, simulate_sessions, simulate_sessions_obs, simulate_tenant_sessions,
     simulate_tenant_sessions_obs, ArrivalProcess, BatcherConfig, ObsReport, QueuePolicy, ServeObs,
@@ -539,18 +539,18 @@ pub fn tenant_slo_to_json(
     )
 }
 
-/// How a traced point records its timeline: buffered in memory (the
-/// default), streamed incrementally to a writer, aggregated online, or
-/// any combination. Streaming with `buffered: false` bounds the resident
-/// event memory regardless of run length.
+/// How a traced point records its timeline: kept in memory as Perfetto
+/// text (the default), streamed incrementally to a writer, aggregated
+/// online, or any combination. With `buffered: false` the resident
+/// memory stays bounded regardless of run length.
 pub struct TraceOptions {
     /// Stream the Perfetto timeline incrementally to this writer while
-    /// the simulation runs (byte-identical to the in-memory export).
+    /// the simulation runs.
     pub stream: Option<Box<dyn std::io::Write>>,
     /// Run the online aggregation engine alongside the simulation.
     pub agg: bool,
-    /// Retain the full event buffer in memory (needed for
-    /// [`TracedPoint::perfetto`]); turn off for bounded-memory long runs.
+    /// Also stream the timeline into memory, for
+    /// [`TracedPoint::perfetto`]; its text grows with the run.
     pub buffered: bool,
 }
 
@@ -595,7 +595,7 @@ pub struct TracedPoint {
     /// The cross-layer observability report.
     pub obs: ObsReport,
     /// The Perfetto / Chrome-trace timeline, as a JSON string. `None`
-    /// when the run was unbuffered (streamed to a writer instead).
+    /// unless [`TraceOptions::buffered`] was on.
     pub perfetto: Option<String>,
     /// Online aggregates, when [`TraceOptions::agg`] was on.
     pub agg: Option<recross_obs::agg::Aggregates>,
@@ -612,10 +612,9 @@ pub struct TracedPoint {
 ///
 /// [`TraceOptions`] choose where the timeline goes: streamed to a writer
 /// while the simulation runs, aggregated online, and/or kept in memory for
-/// [`TracedPoint::perfetto`] (`buffered`). The streamed bytes are
-/// byte-identical to [`TracedPoint::perfetto`] of a buffered run with the
-/// same inputs. Deterministic in `seed` — reruns are byte-identical.
-/// Returns `Err` only when the stream writer fails.
+/// [`TracedPoint::perfetto`] (`buffered`). The streamed bytes equal
+/// [`TracedPoint::perfetto`]. Deterministic in `seed` — reruns are
+/// byte-identical. Returns `Err` only when the stream writer fails.
 #[allow(clippy::too_many_arguments)]
 pub fn traced_point_with(
     scale: Scale,
@@ -634,19 +633,20 @@ pub fn traced_point_with(
 
     let mut obs = ServeObs::new(dram());
     obs.set_dram_trace(dram_trace);
+    let memory = opts.buffered.then(SharedWriter::new);
+    if let Some(m) = &memory {
+        obs.stream_to(m.clone());
+    }
     if let Some(w) = opts.stream {
         obs.stream_to(w);
     }
     if opts.agg {
         obs.enable_agg();
     }
-    if !opts.buffered {
-        obs.unbuffer();
-    }
     let report = h.serve(arch, qps, &mut sessions, Some(&mut obs));
     obs.finish()?;
     let obs_report = obs.obs_report(&report);
-    let perfetto = opts.buffered.then(|| obs.chrome_trace_string());
+    let perfetto = memory.map(|m| m.contents());
     let agg = obs.aggregates();
     Ok(TracedPoint {
         arch: arch.to_string(),
@@ -962,9 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_point_is_byte_identical_to_buffered_with_bounded_memory() {
-        use recross_obs::SharedWriter;
-
+    fn in_memory_timeline_equals_the_streamed_file_with_bounded_memory() {
         let run = |opts: TraceOptions| {
             traced_point_with(
                 Scale::Tiny,
@@ -979,42 +977,46 @@ mod tests {
             )
             .expect("stream writer cannot fail")
         };
-
-        let buffered = run(TraceOptions::default());
-        let perfetto = buffered.perfetto.as_deref().expect("buffered");
-
-        let out = SharedWriter::new();
-        let streamed = run(TraceOptions {
-            stream: Some(Box::new(out.clone())),
+        let streamed_opts = |w: &SharedWriter, buffered| TraceOptions {
+            stream: Some(Box::new(w.clone())),
             agg: true,
+            buffered,
+        };
+
+        // One run keeps the timeline in memory and streams it: both
+        // copies hold the same bytes, and nothing was dropped.
+        let out = SharedWriter::new();
+        let both = run(streamed_opts(&out, true));
+        assert_eq!(both.perfetto, Some(out.contents()));
+        assert!(both.obs.sinks.iter().all(|s| s.dropped == 0));
+
+        // Streamed only, as `repro` runs it: same simulation, same file,
+        // no timeline kept.
+        let file = SharedWriter::new();
+        let streamed = run(streamed_opts(&file, false));
+        assert_eq!(streamed.report.to_json(), both.report.to_json());
+        assert_eq!(file.contents(), out.contents());
+        assert!(streamed.perfetto.is_none());
+        assert!(streamed.obs.sinks.iter().all(|s| s.dropped == 0));
+
+        // The stream and aggregation sinks add string-table copies, the
+        // fixed stream chunk and histograms to the bare recorder's
+        // tables, never per-event storage: the run records about 70k
+        // events, more than the envelope leaves to spare.
+        let bare = run(TraceOptions {
+            stream: None,
+            agg: false,
             buffered: false,
         });
-
-        // The simulation itself is identical either way…
-        assert_eq!(streamed.report.to_json(), buffered.report.to_json());
-        // …the streamed file is byte-identical to the in-memory export…
-        assert_eq!(out.contents(), perfetto);
+        assert!(bare.obs.sinks.is_empty());
         assert!(
-            streamed.perfetto.is_none(),
-            "unbuffered run retains no timeline"
-        );
-        // …and nothing was dropped. The streamed run retains no event
-        // buffer at all (no memory sink; `recross_obs` asserts the
-        // chunk-bounded event buffer directly at 50k events), so its
-        // resident heap is string tables + the fixed stream chunk: at
-        // most a chunk-scale envelope over the buffered run even at this
-        // tiny scale, and independent of run length where the buffered
-        // footprint grows with every event.
-        assert!(streamed.obs.sinks.iter().all(|s| s.dropped == 0));
-        assert!(streamed.obs.sinks.iter().all(|s| s.kind != "memory"));
-        assert!(
-            streamed.obs.heap_capacity < buffered.obs.heap_capacity + 3 * recross_obs::STREAM_CHUNK,
-            "streamed heap {} should stay within a chunk-scale envelope of buffered heap {}",
+            streamed.obs.heap_capacity < bare.obs.heap_capacity + 3 * recross_obs::STREAM_CHUNK,
+            "streamed heap {} should stay within a chunk-scale envelope of the bare recorder's {}",
             streamed.obs.heap_capacity,
-            buffered.obs.heap_capacity
+            bare.obs.heap_capacity
         );
-        // The online aggregates carry the per-tenant story the dropped
-        // buffer would have: fates partition the request count.
+        // The online aggregates carry the per-tenant story: fates
+        // partition the request count.
         let agg = streamed.agg.as_ref().expect("agg enabled");
         let total: u64 = agg.tenants.iter().map(|t| t.requests()).sum();
         assert_eq!(total, streamed.report.requests);

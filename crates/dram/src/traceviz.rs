@@ -5,9 +5,10 @@
 //! PE/DQ occupancy tracks; [`record_commands`] folds a recorded
 //! [`IssuedCommand`] trace onto those tracks — one span per command with
 //! its occupancy duration, one `burst` span per read on the PE/DQ track of
-//! the region its data lands in ([`DataScope`]). Any consumer can then
-//! export the recorder with `recross_obs::write_chrome_trace`
-//! (`chrome://tracing` / [Perfetto](https://ui.perfetto.dev)).
+//! the region its data lands in ([`DataScope`]). A
+//! `recross_obs::ChromeStreamSink` attached to the recorder writes the
+//! tracks as a `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)
+//! timeline.
 
 use std::fmt::Write;
 
@@ -138,15 +139,37 @@ mod tests {
     use super::*;
     use crate::addr::PhysAddr;
     use crate::controller::{Controller, ReadRequest, SchedulePolicy};
+    use recross_obs::{ChromeStreamSink, Event, EventSink, SharedWriter};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// The Chrome-trace JSON of `trace` on one channel's tracks under a
     /// `DRAM channel` root.
     fn chrome_json(trace: &[IssuedCommand], cfg: &DramConfig) -> String {
+        let out = SharedWriter::new();
         let mut rec = Recorder::new();
+        rec.attach(Box::new(ChromeStreamSink::new(
+            out.clone(),
+            cfg.cycles_to_ns(1),
+        )));
         let root = rec.track("DRAM channel", None);
         let mut tracks = dram_tracks(&mut rec, root, cfg);
         record_commands(&mut rec, &mut tracks, cfg, trace, 0);
-        recross_obs::chrome_trace_string(&rec, cfg.cycles_to_ns(1))
+        rec.finish().unwrap();
+        out.contents()
+    }
+
+    /// Collects every event's timestamp.
+    #[derive(Default)]
+    struct Stamps(Vec<u64>);
+
+    impl EventSink for Stamps {
+        fn kind(&self) -> &'static str {
+            "stamps"
+        }
+        fn on_event(&mut self, e: &Event) {
+            self.0.push(e.ts);
+        }
     }
 
     #[test]
@@ -216,11 +239,12 @@ mod tests {
             },
             cycle: 5,
         }];
+        let stamps = Rc::new(RefCell::new(Stamps::default()));
         let mut rec = Recorder::new();
+        rec.attach(Box::new(Rc::clone(&stamps)));
         let root = rec.track("ch", None);
         let mut tracks = dram_tracks(&mut rec, root, &cfg);
         record_commands(&mut rec, &mut tracks, &cfg, &trace, 100);
-        let e = rec.events().last().unwrap();
-        assert_eq!(e.ts, 105);
+        assert_eq!(stamps.borrow().0, [105]);
     }
 }

@@ -26,14 +26,9 @@
 //!   share one distribution), and counter samples are bucketed under
 //!   `<root name>/<counter name>` (e.g. `channel 0/depth`).
 //!
-//! # Equivalence guarantee
-//!
-//! A live-attached aggregator and [`Aggregates::from_recorder`] on a
-//! fully buffered recorder of the same run produce *equal* results by
-//! construction: replay delivers the identical notification sequence the
-//! live run did, and [`Aggregator`] is deterministic state folded over
-//! that sequence. Tests in this module and in `recross-serve` assert the
-//! equality (`Aggregates` derives `PartialEq`).
+//! [`Aggregator`] is deterministic state folded over the notification
+//! sequence, so two runs that record the same events produce equal
+//! [`Aggregates`] (it derives `PartialEq`).
 //!
 //! [`TenantAggregate::record`] is the one place a request's [`Fate`] is
 //! counted and its timing recorded; `ServeObs` calls it too, so its
@@ -46,7 +41,7 @@ use std::collections::BTreeMap;
 
 use crate::hist::{LatencyHistogram, NUM_BUCKETS};
 use crate::json::{fmt_f64, json_string};
-use crate::recorder::{Event, EventKind, Recorder, StrId, TrackId};
+use crate::recorder::{Event, EventKind, StrId, TrackId};
 use crate::sink::EventSink;
 
 /// How one request's lifecycle resolved: the suffix of its lifecycle
@@ -249,15 +244,6 @@ pub struct Aggregates {
 }
 
 impl Aggregates {
-    /// Recomputes the aggregates from a fully buffered recorder by
-    /// replaying it through a fresh [`Aggregator`] — the reference the
-    /// equivalence guarantee is stated against.
-    pub fn from_recorder(rec: &Recorder) -> Self {
-        let mut agg = Aggregator::new();
-        rec.replay(&mut agg);
-        agg.snapshot()
-    }
-
     /// The aggregates as one deterministic JSON document
     /// (`"experiment":"obs_agg"` envelope).
     pub fn to_json(&self) -> String {
@@ -314,9 +300,9 @@ impl Aggregates {
 }
 
 /// The online aggregation engine: an [`EventSink`] with fixed-size state
-/// (see the module docs). Attach it to a recorder (typically through an
-/// `Rc<RefCell<…>>` handle so it can be queried afterwards) or feed it
-/// via [`Recorder::replay`]; read results with [`Aggregator::snapshot`].
+/// (see the module docs). Attach it to a recorder before recording,
+/// through an `Rc<RefCell<…>>` handle so it can be queried afterwards,
+/// and read results with [`Aggregator::snapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct Aggregator {
     strings: Vec<String>,
@@ -513,6 +499,9 @@ impl EventSink for Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Recorder;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// A miniature serve-shaped trace: two tenants, one channel, four
     /// request fates, batch spans, depth counters.
@@ -542,26 +531,13 @@ mod tests {
     }
 
     fn live_aggregates(record: impl Fn(&mut Recorder)) -> Aggregates {
-        use std::cell::RefCell;
-        use std::rc::Rc;
         let agg = Rc::new(RefCell::new(Aggregator::new()));
         let mut rec = Recorder::new();
-        rec.unbuffer();
         rec.attach(Box::new(Rc::clone(&agg)));
         record(&mut rec);
         rec.finish().unwrap();
         let snap = agg.borrow().snapshot();
         snap
-    }
-
-    #[test]
-    fn live_streaming_equals_replayed_recompute() {
-        let live = live_aggregates(record_serving);
-        let mut rec = Recorder::new();
-        record_serving(&mut rec);
-        let replayed = Aggregates::from_recorder(&rec);
-        assert_eq!(live, replayed);
-        assert_eq!(live.to_json(), replayed.to_json());
     }
 
     #[test]
@@ -614,15 +590,15 @@ mod tests {
 
     #[test]
     fn snapshot_folds_in_flight_requests_without_consuming() {
-        let mut agg = Aggregator::new();
+        let agg = Rc::new(RefCell::new(Aggregator::new()));
         let mut rec = Recorder::new();
+        rec.attach(Box::new(Rc::clone(&agg)));
         let t = rec.track("tenant: rt", None);
         let lane = rec.track("lane 0", Some(t));
         rec.span(lane, "req#0 completed", 0, 10);
-        rec.replay(&mut agg);
-        let s1 = agg.snapshot();
+        let s1 = agg.borrow().snapshot();
         assert_eq!(s1.tenants[0].completed, 1, "open request folded in");
-        let s2 = agg.snapshot();
+        let s2 = agg.borrow().snapshot();
         assert_eq!(s1, s2, "snapshot is non-destructive");
     }
 

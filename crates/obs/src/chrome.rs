@@ -1,4 +1,4 @@
-//! Chrome-trace / Perfetto JSON exporter — streaming and in-memory.
+//! Chrome-trace / Perfetto JSON exporter, streamed as events arrive.
 //!
 //! Root tracks become trace *processes* (`pid` = root creation order),
 //! every track in a root's subtree becomes a *thread* of that process
@@ -12,14 +12,10 @@
 //! `{:.3}`. Every byte is therefore what `{:.3}` prints for the same
 //! `f64`.
 //!
-//! There is exactly **one** formatter: [`ChromeStreamSink`], an
-//! [`EventSink`] that renders each event to JSON as it arrives and
-//! flushes to its writer whenever the pending text reaches
-//! [`STREAM_CHUNK`] bytes. The classic after-the-fact exporter
-//! [`write_chrome_trace`] is a thin wrapper that *replays* a buffered
-//! recorder through the same sink — which is why a streamed trace file
-//! is byte-identical to the in-memory export of the same run, by
-//! construction rather than by parallel maintenance.
+//! The formatter is [`ChromeStreamSink`], an [`EventSink`] that renders
+//! each event to JSON as it arrives and flushes to its writer whenever
+//! the pending text reaches [`STREAM_CHUNK`] bytes. A trace wanted in
+//! memory is streamed into a [`SharedWriter`](crate::SharedWriter).
 //!
 //! The sink's resident state is bounded by the *table* sizes (its own
 //! pre-escaped copy of the interning table, per-track placements) plus
@@ -33,7 +29,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::json::{json_string, push_f64};
-use crate::recorder::{Event, EventKind, Recorder, StrId, TrackId};
+use crate::recorder::{Event, EventKind, StrId, TrackId};
 use crate::sink::EventSink;
 
 /// Flush threshold for [`ChromeStreamSink`]'s pending-text buffer, in
@@ -341,32 +337,15 @@ impl<W: Write> EventSink for ChromeStreamSink<W> {
     }
 }
 
-/// Writes the recorder's full retained event stream as a Chrome-trace
-/// JSON array by replaying it through a [`ChromeStreamSink`] — so this
-/// produces the exact bytes a live-attached streaming sink would have
-/// written for the same run. `ns_per_cycle` converts the recorder's
-/// integer-cycle timestamps to trace microseconds.
-pub fn write_chrome_trace<W: Write>(rec: &Recorder, ns_per_cycle: f64, w: W) -> io::Result<()> {
-    let mut sink = ChromeStreamSink::new(w, ns_per_cycle);
-    rec.replay(&mut sink);
-    sink.finish()
-}
-
-/// [`write_chrome_trace`] into a `String`.
-pub fn chrome_trace_string(rec: &Recorder, ns_per_cycle: f64) -> String {
-    let mut out = Vec::new();
-    write_chrome_trace(rec, ns_per_cycle, &mut out).expect("write to Vec cannot fail");
-    String::from_utf8(out).expect("exporter emits UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::Recorder;
     use crate::sink::SharedWriter;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    /// Records the sample forest into `rec` (works for buffered and
-    /// unbuffered recorders alike).
+    /// Records the sample forest into `rec`.
     fn record_sample(rec: &mut Recorder) {
         let tenant = rec.track("tenant rt", None);
         let lane = rec.track("lane 0", Some(tenant));
@@ -379,10 +358,28 @@ mod tests {
         rec.counter(ch, "queue depth", 40, 0.0);
     }
 
-    fn sample() -> Recorder {
+    /// The trace `record` streams through a sink flushing every `chunk`
+    /// bytes.
+    fn stream_chunked(
+        ns_per_cycle: f64,
+        chunk: usize,
+        record: impl FnOnce(&mut Recorder),
+    ) -> String {
+        let out = SharedWriter::new();
         let mut rec = Recorder::new();
-        record_sample(&mut rec);
-        rec
+        rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
+            out.clone(),
+            ns_per_cycle,
+            chunk,
+        )));
+        record(&mut rec);
+        rec.finish().unwrap();
+        assert_eq!(rec.dropped_events(), 0);
+        out.contents()
+    }
+
+    fn stream(ns_per_cycle: f64, record: impl FnOnce(&mut Recorder)) -> String {
+        stream_chunked(ns_per_cycle, STREAM_CHUNK, record)
     }
 
     /// Minimal structural parse of the exporter's output: counts events
@@ -394,8 +391,7 @@ mod tests {
 
     #[test]
     fn round_trip_counts_match_recorded_events() {
-        let rec = sample();
-        let json = chrome_trace_string(&rec, 0.4167);
+        let json = stream(0.4167, record_sample);
         assert!(json.starts_with("[\n") && json.ends_with("\n]"));
         assert_eq!(count(&json, "\"ph\":\"X\""), 2);
         assert_eq!(count(&json, "\"ph\":\"i\""), 1);
@@ -410,8 +406,7 @@ mod tests {
 
     #[test]
     fn children_share_their_roots_pid() {
-        let rec = sample();
-        let json = chrome_trace_string(&rec, 1.0);
+        let json = stream(1.0, record_sample);
         // "lane 0" is a thread of pid 0, "server" a thread of pid 1.
         assert!(json.contains(
             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"args\":{\"name\":\"lane 0\"}}"
@@ -425,38 +420,17 @@ mod tests {
     }
 
     #[test]
-    fn export_is_deterministic() {
-        let a = chrome_trace_string(&sample(), 0.4167);
-        let b = chrome_trace_string(&sample(), 0.4167);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn live_stream_is_byte_identical_to_in_memory_export() {
-        // In-memory path: record everything, export afterwards.
-        let in_memory = chrome_trace_string(&sample(), 0.4167);
-
-        // Streaming path: no memory sink, events rendered as they land,
-        // tiny chunk so multiple flushes actually happen.
-        let out = SharedWriter::new();
-        let mut rec = Recorder::new();
-        rec.unbuffer();
-        rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
-            out.clone(),
-            0.4167,
-            64,
-        )));
-        record_sample(&mut rec);
-        assert!(rec.events().is_empty(), "nothing retained");
-        rec.finish().unwrap();
-        assert_eq!(out.contents(), in_memory);
+    fn export_is_deterministic_and_independent_of_the_chunk_size() {
+        let a = stream(0.4167, record_sample);
+        assert_eq!(a, stream(0.4167, record_sample));
+        // A tiny chunk flushes many times; the bytes stay the same.
+        assert_eq!(a, stream_chunked(0.4167, 64, record_sample));
     }
 
     #[test]
     fn streaming_heap_stays_bounded() {
         let out = SharedWriter::new();
         let mut rec = Recorder::new();
-        rec.unbuffer();
         rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
             out.clone(),
             1.0,
@@ -469,6 +443,7 @@ mod tests {
             high_water = high_water.max(rec.heap_capacity());
         }
         rec.finish().unwrap();
+        assert_eq!(rec.dropped_events(), 0, "every event streamed");
         // One interned name, one track, and a ~1 KiB chunk: the resident
         // footprint must not scale with the 50k events...
         assert!(high_water < 8 * 1024, "resident {high_water} not bounded");
@@ -479,16 +454,19 @@ mod tests {
     #[test]
     fn finish_is_required_and_idempotent() {
         let out = SharedWriter::new();
-        let mut sink = ChromeStreamSink::new(out.clone(), 1.0);
-        let rec = sample();
-        rec.replay(&mut sink);
+        let sink = Rc::new(RefCell::new(ChromeStreamSink::new(out.clone(), 1.0)));
+        let mut rec = Recorder::new();
+        rec.attach(Box::new(Rc::clone(&sink)));
+        record_sample(&mut rec);
         assert!(
             !out.contents().ends_with("]"),
             "small trace stays buffered until finish"
         );
-        sink.finish().unwrap();
-        sink.finish().unwrap();
-        assert_eq!(out.contents(), chrome_trace_string(&rec, 1.0));
+        sink.borrow_mut().finish().unwrap();
+        let bytes = out.contents();
+        rec.finish().unwrap();
+        assert_eq!(out.contents(), bytes, "a second finish writes nothing");
+        assert_eq!(bytes, stream(1.0, record_sample));
     }
 
     #[test]
@@ -502,24 +480,25 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = ChromeStreamSink::with_chunk_size(Failing, 1.0, 16);
         let mut rec = Recorder::new();
+        rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
+            Failing, 1.0, 16,
+        )));
         let t = rec.track("t", None);
         rec.instant(t, "a", 1);
         rec.instant(t, "b", 2);
-        rec.replay(&mut sink);
         // First entry triggers the failed flush; the second is dropped.
-        assert!(sink.dropped() >= 1);
-        assert!(sink.finish().is_err());
+        assert!(rec.dropped_events() >= 1);
+        assert!(rec.finish().is_err());
     }
 
     #[test]
     fn timestamps_are_scaled_to_microseconds() {
-        let mut rec = Recorder::new();
-        let t = rec.track("t", None);
-        rec.span(t, "s", 1_000, 3_000);
         // 1000 cycles at 0.5 ns/cycle = 0.5 µs.
-        let json = chrome_trace_string(&rec, 0.5);
+        let json = stream(0.5, |rec| {
+            let t = rec.track("t", None);
+            rec.span(t, "s", 1_000, 3_000);
+        });
         assert!(json.contains("\"ts\":0.500,\"dur\":1.000"), "{json}");
     }
 
@@ -582,7 +561,6 @@ mod tests {
     fn heap_capacity_is_pinned_on_the_sample_forest() {
         for (chunk, recording, finished) in [(STREAM_CHUNK, 647, 2279), (64, 239, 239)] {
             let mut rec = Recorder::new();
-            rec.unbuffer();
             rec.attach(Box::new(ChromeStreamSink::with_chunk_size(
                 SharedWriter::new(),
                 0.4167,
@@ -601,8 +579,6 @@ mod tests {
 
     #[test]
     fn empty_recorder_exports_an_empty_array() {
-        let rec = Recorder::new();
-        let json = chrome_trace_string(&rec, 1.0);
-        assert_eq!(json, "[\n\n]");
+        assert_eq!(stream(1.0, |_| {}), "[\n\n]");
     }
 }

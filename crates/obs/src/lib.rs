@@ -6,22 +6,19 @@
 //! [`Recorder`]: named **tracks** arranged in a forest (tenant → request
 //! lane, channel → server / queue depth / DRAM banks), and on each track
 //! complete **spans**, **instants**, and **counter** samples, all
-//! timestamped in integer controller cycles. The recorder is append-only;
-//! debug builds check, as each event arrives, that no track goes back in
-//! time.
+//! timestamped in integer controller cycles. Debug builds check, as each
+//! event arrives, that no track goes back in time.
 //! An untraced run builds no recorder at all, so the simulation pays for
 //! tracing only when it is on.
 //!
-//! The recorder is a *producer*: everything downstream is an
-//! [`EventSink`] attached to it (see the [`mod@sink`] module):
+//! The recorder is a *producer* and keeps no event: it forwards each
+//! [`Event`] to the [`EventSink`]s attached to it before recording
+//! started (see the [`mod@sink`] module):
 //!
-//! * [`MemorySink`] retains the raw [`Event`] stream (the default, via
-//!   [`Recorder::new`]) for after-the-fact export;
 //! * [`ChromeStreamSink`] streams the forest as a Chrome-trace /
 //!   Perfetto JSON file (root tracks become processes, descendants
-//!   become threads) in bounded memory — [`write_chrome_trace`] is the
-//!   same formatter replayed over a buffered recorder, so streamed and
-//!   in-memory exports are byte-identical;
+//!   become threads) in bounded memory; a trace wanted in memory is
+//!   streamed into a [`SharedWriter`];
 //! * [`agg::Aggregator`] folds the stream into online summaries —
 //!   per-tenant time-in-queue/-service histograms (the log-scale
 //!   [`hist::LatencyHistogram`] lives here too), per-channel busy
@@ -38,32 +35,18 @@
 //! formatting, strings are interned in first-use order, track and event
 //! order is recording order, and floats in counter samples are printed
 //! with the same shortest-round-trip formatting the rest of the workspace
-//! uses ([`fmt_f64`]). Two identical runs produce identical trace files —
-//! whether buffered or streamed.
-//!
-//! ```
-//! use recross_obs::Recorder;
-//!
-//! let mut rec = Recorder::new();
-//! let sys = rec.track("system", None);
-//! let worker = rec.track("worker 0", Some(sys));
-//! rec.span(worker, "job", 100, 250);
-//! rec.counter(sys, "queue depth", 100, 3.0);
-//! let json = recross_obs::chrome_trace_string(&rec, 0.4167);
-//! assert!(json.starts_with("[\n"));
-//! ```
-//!
-//! Streaming the same events instead (no retention, bounded memory):
+//! uses ([`fmt_f64`]). Two identical runs produce identical trace files.
 //!
 //! ```
 //! use recross_obs::{ChromeStreamSink, Recorder, SharedWriter};
 //!
 //! let out = SharedWriter::new();
 //! let mut rec = Recorder::new();
-//! rec.unbuffer();
 //! rec.attach(Box::new(ChromeStreamSink::new(out.clone(), 0.4167)));
 //! let sys = rec.track("system", None);
-//! rec.span(sys, "job", 100, 250);
+//! let worker = rec.track("worker 0", Some(sys));
+//! rec.span(worker, "job", 100, 250);
+//! rec.counter(sys, "queue depth", 100, 3.0);
 //! rec.finish().unwrap();
 //! assert!(out.contents().starts_with("[\n"));
 //! ```
@@ -77,7 +60,7 @@ mod json;
 mod recorder;
 pub mod sink;
 
-pub use chrome::{chrome_trace_string, write_chrome_trace, ChromeStreamSink, STREAM_CHUNK};
+pub use chrome::{ChromeStreamSink, STREAM_CHUNK};
 pub use json::{fmt_f64, json_string};
 pub use recorder::{Event, EventKind, Recorder, StrId, TrackId};
-pub use sink::{EventSink, MemorySink, SharedWriter, SinkStats};
+pub use sink::{EventSink, SharedWriter, SinkStats};

@@ -1,12 +1,12 @@
 //! The structured-event recorder: interned strings, a track forest, and
-//! an append-only event stream fanned out to attached
-//! [`EventSink`](crate::EventSink)s.
+//! an event stream forwarded to the attached
+//! [`EventSink`](crate::EventSink)s as it is recorded.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 
-use crate::sink::{EventSink, MemorySink, SinkStats};
+use crate::sink::{EventSink, SinkStats};
 
 /// Handle to an interned string (see [`Recorder::intern`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,28 +87,22 @@ impl Hasher for FxHasher {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Track {
-    name: StrId,
-    parent: Option<TrackId>,
-}
-
 /// A deterministic structured-event recorder.
 ///
 /// The recorder is the *producer* half of the pipeline: it owns the
-/// interning table and the track forest, and fans every recorded event
-/// out to its attached [`EventSink`]s. [`Recorder::new`] installs a
-/// [`MemorySink`] so the classic in-memory workflow (`events()`,
-/// export-after-the-fact) works unchanged; [`Recorder::unbuffer`] drops
-/// it for bounded-memory streaming runs.
+/// interning table and the track forest, and forwards every recorded
+/// event to its attached [`EventSink`]s. It keeps no event itself, so
+/// its resident footprint is its tables plus whatever the sinks hold.
+/// Sinks are attached before anything is recorded.
 ///
 /// In debug builds every recorded event is checked as it arrives: an
 /// event whose timestamp is earlier than the previous one on the same
-/// track panics, whether or not any sink retains the stream.
+/// track panics.
 pub struct Recorder {
     strings: Vec<String>,
     lookup: HashMap<String, StrId, BuildHasherDefault<FxHasher>>,
-    tracks: Vec<Track>,
+    /// Each track's name, by track id (parents go to the sinks only).
+    tracks: Vec<StrId>,
     sinks: Vec<Box<dyn EventSink>>,
     /// Latest timestamp recorded per track (debug builds only; not part
     /// of [`Recorder::heap_capacity`]).
@@ -136,55 +130,32 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// An empty recorder with the default in-memory sink (every event
-    /// retained; `events()` works).
+    /// An empty recorder with no sink attached.
     pub fn new() -> Self {
         Self {
             strings: Vec::new(),
             lookup: HashMap::default(),
             tracks: Vec::new(),
-            sinks: vec![Box::new(MemorySink::new())],
+            sinks: Vec::new(),
             #[cfg(debug_assertions)]
             last_ts: Vec::new(),
         }
     }
 
-    /// Attaches a sink. The sink is first caught up on everything already
-    /// recorded — all interned strings and tracks, plus any events a
-    /// [`MemorySink`] retained (events recorded before attach on an
-    /// unbuffered recorder are gone and stay gone) — then receives the
-    /// live stream.
-    pub fn attach(&mut self, mut sink: Box<dyn EventSink>) {
-        self.replay(&mut *sink);
+    /// Attaches a sink; it receives every string, track and event
+    /// recorded from now on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a string or track has already been recorded: a sink
+    /// attached later would miss the names and tracks its events refer
+    /// to.
+    pub fn attach(&mut self, sink: Box<dyn EventSink>) {
+        assert!(
+            self.strings.is_empty(),
+            "attach every sink before the first string or track is recorded"
+        );
         self.sinks.push(sink);
-    }
-
-    /// Detaches every [`MemorySink`], dropping the retained events. After
-    /// this, `events()` is empty and stays empty — use it to convert a
-    /// recorder to streaming-only *before* recording starts: attach a
-    /// [`ChromeStreamSink`](crate::ChromeStreamSink) (and/or an
-    /// [`Aggregator`](crate::agg::Aggregator)) and the resident footprint
-    /// stays bounded by the interning/track tables regardless of run
-    /// length.
-    pub fn unbuffer(&mut self) {
-        self.sinks.retain(|s| s.as_memory().is_none());
-    }
-
-    /// Feeds a sink the recorder's current state: every interned string
-    /// (in id order), every track (in id order, parents first), then
-    /// every retained event in recording order. This is how the in-memory
-    /// and streaming exporters are guaranteed byte-identical: the
-    /// in-memory path *is* a replay through the streaming sink.
-    pub fn replay(&self, sink: &mut dyn EventSink) {
-        for (i, s) in self.strings.iter().enumerate() {
-            sink.on_string(StrId(i as u32), s);
-        }
-        for (i, t) in self.tracks.iter().enumerate() {
-            sink.on_track(TrackId(i as u32), t.name, t.parent);
-        }
-        for e in self.events() {
-            sink.on_event(e);
-        }
     }
 
     /// Finalizes every attached sink (flushes streamed output, writes
@@ -225,9 +196,9 @@ impl Recorder {
     }
 
     /// Total heap capacity (in entries) held by the recorder's internal
-    /// storage and its sinks. For a streaming recorder this is the bounded
-    /// resident footprint: interning + track tables plus each sink's fixed
-    /// chunk. Per-entry scratch buffers are left out, like the debug-only
+    /// storage and its sinks: interning + track tables plus each sink's
+    /// bounded state, such as a streaming sink's fixed chunk. Per-entry
+    /// scratch buffers are left out, like the debug-only
     /// per-track timestamps: the
     /// [`ChromeStreamSink`](crate::ChromeStreamSink)'s reused entry
     /// buffer and the [`Aggregator`](crate::agg::Aggregator)'s gauge-key
@@ -237,7 +208,10 @@ impl Recorder {
         self.strings.capacity()
             + self.lookup.capacity()
             + self.tracks.capacity()
-            + self.sinks.capacity()
+            // A recorder with no sink counts one sink slot. The figure is
+            // part of every traced `ObsReport`, and it was fixed while a
+            // default in-memory sink, once dropped, left that slot behind.
+            + self.sinks.capacity().max(1)
             + self.sinks.iter().map(|s| s.heap_capacity()).sum::<usize>()
     }
 
@@ -281,7 +255,7 @@ impl Recorder {
         }
         let name = self.intern(name);
         let id = TrackId(u32::try_from(self.tracks.len()).expect("track table overflow"));
-        self.tracks.push(Track { name, parent });
+        self.tracks.push(name);
         #[cfg(debug_assertions)]
         self.last_ts.push(0);
         for sink in &mut self.sinks {
@@ -297,7 +271,7 @@ impl Recorder {
 
     /// A track's name.
     pub fn track_name(&self, id: TrackId) -> &str {
-        self.string(self.tracks[id.0 as usize].name)
+        self.string(self.tracks[id.0 as usize])
     }
 
     fn push(&mut self, track: TrackId, name: StrId, ts: u64, kind: EventKind) {
@@ -347,17 +321,6 @@ impl Recorder {
         let name = self.intern(name);
         self.push(track, name, ts, EventKind::Counter { value });
     }
-
-    /// The recorded events, in recording order — read from the first
-    /// attached [`MemorySink`]; empty for unbuffered (streaming-only)
-    /// recorders.
-    pub fn events(&self) -> &[Event] {
-        self.sinks
-            .iter()
-            .find_map(|s| s.as_memory())
-            .map(|m| m.events())
-            .unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]
@@ -366,18 +329,38 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// A lossless sink that only counts events, so tests can tell it
-    /// apart from the recorder's own [`MemorySink`].
+    /// A sink that logs every notification it receives, in order.
     #[derive(Default)]
-    struct CountSink(u64);
+    struct LogSink(Vec<String>);
 
-    impl EventSink for CountSink {
+    impl EventSink for LogSink {
         fn kind(&self) -> &'static str {
-            "count"
+            "log"
         }
-        fn on_event(&mut self, _: &Event) {
-            self.0 += 1;
+        fn on_string(&mut self, id: StrId, s: &str) {
+            self.0.push(format!("string {} {s}", id.0));
         }
+        fn on_track(&mut self, id: TrackId, name: StrId, parent: Option<TrackId>) {
+            self.0.push(format!(
+                "track {} {} {:?}",
+                id.0,
+                name.0,
+                parent.map(|p| p.0)
+            ));
+        }
+        fn on_event(&mut self, e: &Event) {
+            self.0.push(format!(
+                "event {} {} {} {:?}",
+                e.track.0, e.name.0, e.ts, e.kind
+            ));
+        }
+    }
+
+    fn logged() -> (Recorder, Rc<RefCell<LogSink>>) {
+        let log = Rc::new(RefCell::new(LogSink::default()));
+        let mut rec = Recorder::new();
+        rec.attach(Box::new(Rc::clone(&log)));
+        (rec, log)
     }
 
     #[test]
@@ -393,34 +376,47 @@ mod tests {
     }
 
     #[test]
-    fn attach_catches_a_sink_up_on_retained_state() {
-        let mut rec = Recorder::new();
-        let t = rec.track("root", None);
-        rec.instant(t, "before", 1);
-        // A sink attached mid-run still sees the earlier event (the
-        // memory sink retained it) and everything after.
-        let count = Rc::new(RefCell::new(CountSink::default()));
-        rec.attach(Box::new(Rc::clone(&count)));
-        rec.instant(t, "after", 2);
+    fn sinks_receive_names_and_tracks_before_the_events_using_them() {
+        let (mut rec, log) = logged();
+        let root = rec.track("root", None);
+        let child = rec.track("child", Some(root));
+        rec.span(child, "work", 0, 10);
+        rec.instant(root, "work", 5);
+        rec.counter(root, "depth", 6, 2.0);
+        assert_eq!(
+            log.borrow().0,
+            [
+                "string 0 root",
+                "track 0 0 None",
+                "string 1 child",
+                "track 1 1 Some(0)",
+                "string 2 work",
+                "event 1 2 0 Span { dur: 10 }",
+                "event 0 2 5 Instant",
+                "string 3 depth",
+                "event 0 3 6 Counter { value: 2.0 }",
+            ]
+        );
         let stats = rec.sink_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].kind, "memory");
-        assert_eq!(stats[1].kind, "count");
-        assert_eq!(rec.events().len(), 2);
-        // Catch-up delivered "before".
-        assert_eq!(count.borrow().0, 2);
+        assert_eq!(
+            (stats.len(), stats[0].kind, stats[0].dropped),
+            (1, "log", 0)
+        );
+        assert_eq!(rec.finish().ok(), Some(()));
     }
 
     #[test]
-    fn unbuffered_recorder_retains_tables_but_no_events() {
+    fn recorder_without_sinks_keeps_only_its_tables() {
         let mut rec = Recorder::new();
-        rec.unbuffer();
         let t = rec.track("root", None);
-        for i in 0..1_000u64 {
+        rec.instant(t, "tick", 0);
+        let heap = rec.heap_capacity();
+        for i in 1..1_000u64 {
             rec.instant(t, "tick", i);
         }
-        assert_eq!(rec.events().len(), 0, "no memory sink, nothing retained");
+        assert_eq!(rec.heap_capacity(), heap, "no event is kept");
         assert!(rec.sink_stats().is_empty());
+        assert_eq!(rec.dropped_events(), 0);
         assert_eq!(rec.track_count(), 1);
         let tick = rec.intern("tick");
         assert_eq!(rec.string(tick), "tick");
@@ -428,34 +424,8 @@ mod tests {
     }
 
     #[test]
-    fn unbuffer_drops_only_memory_sinks() {
-        let mut rec = Recorder::new();
-        rec.attach(Box::new(CountSink::default()));
-        let t = rec.track("root", None);
-        rec.instant(t, "x", 1);
-        assert_eq!(rec.events().len(), 1);
-        rec.unbuffer();
-        assert_eq!(rec.events().len(), 0);
-        let stats = rec.sink_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].kind, "count");
-    }
-
-    #[test]
-    fn replay_reproduces_the_stream_in_order() {
-        let mut rec = Recorder::new();
-        let root = rec.track("root", None);
-        let child = rec.track("child", Some(root));
-        rec.span(child, "work", 0, 10);
-        rec.instant(root, "tick", 5);
-        let mut copy = MemorySink::new();
-        rec.replay(&mut copy);
-        assert_eq!(copy.events(), rec.events());
-    }
-
-    #[test]
     fn recording_accepts_well_formed_streams() {
-        let mut rec = Recorder::new();
+        let (mut rec, log) = logged();
         let root = rec.track("root", None);
         let child = rec.track("child", Some(root));
         rec.span(child, "outer", 10, 30);
@@ -463,7 +433,29 @@ mod tests {
         rec.instant(child, "tick", 30);
         rec.span(root, "flat", 0, 100);
         rec.counter(root, "depth", 50, 2.0);
-        assert_eq!(rec.events().len(), 5);
+        let events = log
+            .borrow()
+            .0
+            .iter()
+            .filter(|l| l.starts_with("event"))
+            .count();
+        assert_eq!(events, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "attach every sink before the first string or track is recorded")]
+    fn attach_after_a_string_panics() {
+        let mut rec = Recorder::new();
+        rec.intern("early");
+        rec.attach(Box::new(LogSink::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "attach every sink before the first string or track is recorded")]
+    fn attach_after_a_track_panics() {
+        let (mut rec, _log) = logged();
+        rec.track("root", None);
+        rec.attach(Box::new(LogSink::default()));
     }
 
     #[test]
@@ -471,8 +463,6 @@ mod tests {
     #[should_panic(expected = "event on track 'a' goes back in time (9 < 10)")]
     fn time_travel_per_track_panics_at_record_time() {
         let mut rec = Recorder::new();
-        // Streamed: no sink retains the events, the check still runs.
-        rec.unbuffer();
         let a = rec.track("a", None);
         let b = rec.track("b", None);
         // Interleaving across tracks is fine; regression within one is not.

@@ -3,11 +3,9 @@
 //! A [`Recorder`](crate::Recorder) is a *producer*: it interns strings,
 //! builds the track forest, and pushes [`Event`]s. Everything that
 //! happens to those events afterwards is an [`EventSink`] attached to the
-//! recorder. The stock sinks are:
+//! recorder before recording starts; the recorder itself keeps no event.
+//! The stock sinks are:
 //!
-//! * [`MemorySink`] — retains every event in a `Vec` (the classic
-//!   in-memory recorder; [`Recorder::new`](crate::Recorder::new) installs
-//!   one by default so `events()` keeps working);
 //! * [`ChromeStreamSink`](crate::ChromeStreamSink) — formats each event
 //!   to Perfetto/Chrome-trace JSON as it arrives and flushes to an
 //!   `io::Write` in fixed-size chunks, so a long run can be traced in
@@ -37,7 +35,7 @@ use crate::recorder::{Event, StrId, TrackId};
 /// contract is only about ordering: strings before their first use,
 /// tracks before their first event, events in recording order.
 pub trait EventSink {
-    /// Short stable name of the sink type (used in reports: `"memory"`,
+    /// Short stable name of the sink type (used in reports:
     /// `"chrome-stream"`, `"agg"`).
     fn kind(&self) -> &'static str;
 
@@ -78,12 +76,6 @@ pub trait EventSink {
     /// key) is not counted.
     fn heap_capacity(&self) -> usize {
         0
-    }
-
-    /// Downcast hook so the recorder can expose retained events without
-    /// `Any` machinery; only [`MemorySink`] returns `Some`.
-    fn as_memory(&self) -> Option<&MemorySink> {
-        None
     }
 }
 
@@ -138,48 +130,13 @@ impl SinkStats {
     }
 }
 
-/// The lossless in-memory sink: retains every event in recording order.
-///
-/// [`Recorder::new`](crate::Recorder::new) installs one by default; the
-/// recorder's `events()` reads from the first attached `MemorySink`.
-#[derive(Debug, Default, Clone)]
-pub struct MemorySink {
-    events: Vec<Event>,
-}
-
-impl MemorySink {
-    /// An empty sink (no allocation until the first event).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The retained events, in recording order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-}
-
-impl EventSink for MemorySink {
-    fn kind(&self) -> &'static str {
-        "memory"
-    }
-    fn on_event(&mut self, event: &Event) {
-        self.events.push(*event);
-    }
-    fn heap_capacity(&self) -> usize {
-        self.events.capacity()
-    }
-    fn as_memory(&self) -> Option<&MemorySink> {
-        Some(self)
-    }
-}
-
 /// A cloneable `io::Write` target where every clone shares one byte
 /// buffer. This is how callers recover bytes streamed through a sink
 /// that was boxed into a recorder: keep one clone, attach the other
 /// (e.g. `ChromeStreamSink::new(writer.clone(), …)`), read
 /// [`SharedWriter::contents`] after
-/// [`Recorder::finish`](crate::Recorder::finish).
+/// [`Recorder::finish`](crate::Recorder::finish). A trace kept in memory
+/// is such a stream.
 #[derive(Debug, Default, Clone)]
 pub struct SharedWriter(Rc<RefCell<Vec<u8>>>);
 
@@ -230,22 +187,6 @@ mod tests {
     use crate::recorder::Recorder;
 
     #[test]
-    fn memory_sink_is_lossless() {
-        let mut m = MemorySink::new();
-        assert_eq!(m.heap_capacity(), 0, "no allocation before first event");
-        let e = Event {
-            track: TrackId(0),
-            name: StrId(0),
-            ts: 7,
-            kind: crate::EventKind::Instant,
-        };
-        m.on_event(&e);
-        assert_eq!(m.events(), &[e]);
-        assert_eq!(m.dropped(), 0);
-        assert!(m.as_memory().is_some());
-    }
-
-    #[test]
     fn sink_stats_json_is_deterministic() {
         let s = SinkStats {
             kind: "chrome-stream",
@@ -260,13 +201,24 @@ mod tests {
 
     #[test]
     fn shared_sink_handle_sees_the_stream() {
-        let memory = Rc::new(RefCell::new(MemorySink::new()));
+        /// Counts events; every other hook keeps its default.
+        struct Count(u64);
+        impl EventSink for Count {
+            fn kind(&self) -> &'static str {
+                "count"
+            }
+            fn on_event(&mut self, _: &Event) {
+                self.0 += 1;
+            }
+        }
+        let count = Rc::new(RefCell::new(Count(0)));
         let mut rec = Recorder::new();
-        rec.unbuffer();
-        rec.attach(Box::new(Rc::clone(&memory)));
+        rec.attach(Box::new(Rc::clone(&count)));
         let t = rec.track("t", None);
         rec.instant(t, "x", 1);
         rec.instant(t, "y", 2);
-        assert_eq!(memory.borrow().events().len(), 2);
+        assert_eq!(count.borrow().0, 2);
+        assert_eq!(rec.sink_stats()[0].kind, "count");
+        assert_eq!((rec.dropped_events(), count.heap_capacity()), (0, 0));
     }
 }

@@ -14,8 +14,8 @@
 //!   DRAM tracing is on — the per-bank command tracks and PE occupancy
 //!   tracks from [`recross_dram::traceviz`], offset to simulation time.
 //!
-//! The recorder exports to Perfetto/Chrome-trace JSON
-//! ([`ServeObs::write_chrome_trace`]), and [`ServeObs::obs_report`]
+//! The recorder streams the timeline as Perfetto/Chrome-trace JSON to the
+//! writer given to [`ServeObs::stream_to`], and [`ServeObs::obs_report`]
 //! distills the same evidence into a deterministic [`ObsReport`] with
 //! bottleneck attribution: per-channel busy/idle split, queue-depth
 //! percentiles, and the DRAM-level [`CommandAttribution`] (C/A vs data
@@ -26,13 +26,12 @@
 //! reruns — and the simulation itself is priced identically with tracing
 //! on or off (asserted in `sim`'s tests).
 //!
-//! # Long runs: streaming and online aggregation
+//! # Sinks: streaming and online aggregation
 //!
-//! By default the recorder buffers every event for after-the-fact export.
-//! For long runs, configure the sinks *before* the simulation instead:
-//! [`ServeObs::stream_to`] attaches a bounded-memory streaming Perfetto
-//! exporter (byte-identical output to the in-memory path),
-//! [`ServeObs::unbuffer`] drops the in-memory buffer, and
+//! The recorder keeps no event; configure its sinks *before* the
+//! simulation. [`ServeObs::stream_to`] attaches a bounded-memory
+//! streaming Perfetto exporter (a timeline wanted in memory streams into
+//! a [`SharedWriter`](recross_obs::SharedWriter)), and
 //! [`ServeObs::enable_agg`] folds the stream into [`Aggregates`] online.
 //! Call [`ServeObs::finish`] after the run to flush streamed output. The
 //! [`ObsReport`] carries the recorder's report-time capacity index
@@ -79,8 +78,8 @@ struct ChannelTracks {
 /// Create one per traced simulation, pass it to
 /// [`simulate_sessions_obs`](crate::sim::simulate_sessions_obs) or
 /// [`simulate_tenant_sessions_obs`](crate::sim::simulate_tenant_sessions_obs),
-/// then export the timeline ([`write_chrome_trace`](Self::write_chrome_trace))
-/// and the attribution summary ([`obs_report`](Self::obs_report)).
+/// then [`finish`](Self::finish) the streamed timeline and read the
+/// attribution summary ([`obs_report`](Self::obs_report)).
 pub struct ServeObs {
     rec: Recorder,
     dram: DramConfig,
@@ -117,11 +116,9 @@ impl ServeObs {
 
     /// Attaches a bounded-memory streaming Perfetto exporter writing to
     /// `w`: events are rendered to Chrome-trace JSON as they are recorded
-    /// and flushed in fixed chunks, producing bytes identical to
-    /// [`chrome_trace_string`](Self::chrome_trace_string) of a buffered
-    /// run. Combine with [`unbuffer`](Self::unbuffer) to keep the
-    /// resident footprint bounded, and call [`finish`](Self::finish)
-    /// after the run.
+    /// and flushed in fixed chunks. Call [`finish`](Self::finish) after
+    /// the run. Timestamps are scaled from cycles to microseconds with
+    /// the DRAM command clock.
     ///
     /// # Panics
     ///
@@ -132,18 +129,10 @@ impl ServeObs {
         self.rec.attach(Box::new(ChromeStreamSink::new(w, ns)));
     }
 
-    /// Drops the in-memory event buffer: nothing is retained, only
-    /// attached streaming/aggregation sinks see the events. After this,
-    /// [`chrome_trace_string`](Self::chrome_trace_string) exports an
-    /// empty trace — stream instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
-    pub fn unbuffer(&mut self) {
-        assert!(!self.begun, "configure sinks before the simulation");
-        self.rec.unbuffer();
-    }
+    /// Does nothing: the recorder keeps no event buffer to drop. Kept
+    /// only so existing callers compile; it is to be deleted once they
+    /// stop calling it.
+    pub fn unbuffer(&mut self) {}
 
     /// Attaches the online aggregation engine: per-tenant queue/service
     /// histograms, channel busy fractions, span stats and gauge
@@ -187,18 +176,6 @@ impl ServeObs {
     /// The underlying recorder (track and event counts, sink stats).
     pub fn recorder(&self) -> &Recorder {
         &self.rec
-    }
-
-    /// Writes the unified Perfetto/Chrome-trace timeline (open with
-    /// `ui.perfetto.dev` or `chrome://tracing`). Timestamps are scaled
-    /// from cycles to microseconds with the DRAM command clock.
-    pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        recross_obs::write_chrome_trace(&self.rec, self.dram.cycles_to_ns(1), w)
-    }
-
-    /// [`write_chrome_trace`](Self::write_chrome_trace) into a `String`.
-    pub fn chrome_trace_string(&self) -> String {
-        recross_obs::chrome_trace_string(&self.rec, self.dram.cycles_to_ns(1))
     }
 
     /// Distills the trace into a deterministic [`ObsReport`] consistent
@@ -429,8 +406,8 @@ pub struct ObsReport {
     /// string bytes and histogram bucket counts over the recorder and its
     /// sinks. It is a size index, neither bytes nor a high-water mark.
     pub heap_capacity: usize,
-    /// Per-sink drop counters and heap footprints at report time. Empty
-    /// for an unbuffered recorder with no sinks attached.
+    /// Per-sink drop counters and heap footprints at report time, in
+    /// attach order. Empty when no sink was attached.
     pub sinks: Vec<SinkStats>,
 }
 
@@ -592,7 +569,7 @@ mod tests {
             }],
             heap_capacity: 4096,
             sinks: vec![SinkStats {
-                kind: "memory",
+                kind: "chrome-stream",
                 dropped: 0,
                 heap_capacity: 4096,
             }],
@@ -605,7 +582,7 @@ mod tests {
             "\"lifecycle_spans\":4",
             "\"queue_depth\":{\"p50\":1,\"p99\":3,\"max\":3}",
             "\"dram\":null",
-            "\"recorder\":{\"heap_capacity\":4096,\"sinks\":[{\"kind\":\"memory\",\"dropped\":0,\"heap_capacity\":4096}]}",
+            "\"recorder\":{\"heap_capacity\":4096,\"sinks\":[{\"kind\":\"chrome-stream\",\"dropped\":0,\"heap_capacity\":4096}]}",
             "\"tenants\":[{\"name\":\"requests\",\"requests\":4,\"completed\":2,\"late\":1,\"queue_shed\":1,\"deadline_shed\":0,",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
@@ -633,20 +610,19 @@ mod tests {
         assert_eq!((batch.queue_shed, batch.requests()), (1, 1));
         assert_eq!(batch.time_in_queue.count(), 0);
         assert_eq!(batch.time_in_service.count(), 0);
-        // The recorder block is populated: buffered recorder retains heap.
+        // The recorder block is populated: no sink is attached, and the
+        // recorder's own tables count.
         assert!(report.heap_capacity > 0);
-        assert_eq!(report.sinks.len(), 1);
-        assert_eq!(report.sinks[0].kind, "memory");
+        assert!(report.sinks.is_empty());
     }
 
     #[test]
-    fn streaming_sinks_can_replace_the_memory_buffer() {
+    fn streaming_and_aggregation_sinks_see_the_run() {
         use recross_obs::SharedWriter;
         let out = SharedWriter::new();
         let mut obs = ServeObs::new(DramConfig::ddr5_4800());
         obs.set_dram_trace(false);
         obs.stream_to(out.clone());
-        obs.unbuffer();
         obs.enable_agg();
         obs.begin(1, &["requests".to_string()]);
         let dispatch = [(40, "dispatch", 0)];
@@ -661,7 +637,8 @@ mod tests {
         // The streamed aggregate and the report's tenant block are one record.
         let report = obs.obs_report(&sample_report(obs.channels.len()));
         assert_eq!(agg.tenants, report.tenants);
-        // Unbuffered: no memory sink retained, so no replayable events.
-        assert!(obs.recorder().events().is_empty());
+        let kinds: Vec<&str> = report.sinks.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["chrome-stream", "agg"]);
+        assert!(report.sinks.iter().all(|s| s.dropped == 0));
     }
 }

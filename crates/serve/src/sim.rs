@@ -425,9 +425,9 @@ pub fn simulate_sessions(
 /// batch spans, queue-depth gauges, and (unless disabled via
 /// [`ServeObs::set_dram_trace`]) per-dispatch DRAM command tracks.
 ///
-/// `obs` must be freshly created ([`ServeObs::new`]); after the call,
-/// export the timeline with [`ServeObs::write_chrome_trace`] and the
-/// attribution summary with [`ServeObs::obs_report`].
+/// `obs` must be freshly created ([`ServeObs::new`]), with its sinks
+/// attached; after the call, [`ServeObs::finish`] the streamed timeline
+/// and read the attribution summary with [`ServeObs::obs_report`].
 ///
 /// # Panics
 ///
@@ -633,6 +633,7 @@ mod tests {
     use crate::tenant::{Priority, TenantClass, TenantProcess};
     use recross_dram::DramConfig;
     use recross_nmp::cpu::CpuBaseline;
+    use recross_obs::SharedWriter;
     use recross_workload::TraceGenerator;
 
     fn serving_setup() -> (Trace, ChannelPlan, Vec<Cycle>, BatcherConfig, f64) {
@@ -905,8 +906,10 @@ mod tests {
         );
 
         let traced_run = || {
+            let out = SharedWriter::new();
             let mut sessions = open_sessions(&trace, &plan, make);
             let mut obs = ServeObs::new(dram.clone());
+            obs.stream_to(out.clone());
             let report = simulate_tenant_sessions_obs(
                 "CPU",
                 &trace,
@@ -918,9 +921,10 @@ mod tests {
                 &mut sessions,
                 &mut obs,
             );
-            (report, obs)
+            obs.finish().unwrap();
+            (report, obs, out.contents())
         };
-        let (traced, obs) = traced_run();
+        let (traced, obs, perfetto) = traced_run();
 
         // Tracing never perturbs the simulation.
         assert_eq!(traced.to_json(), plain.to_json());
@@ -956,7 +960,6 @@ mod tests {
         assert!(summary.completed > 0);
 
         // The timeline carries DRAM-level spans.
-        let perfetto = obs.chrome_trace_string();
         assert!(perfetto.contains("\"ph\":\"X\""));
         assert!(perfetto.contains("rank 0 / bg 0 / bank 0"));
         assert!(perfetto.contains("tenant: rt"));
@@ -975,20 +978,16 @@ mod tests {
         }
 
         // …and both exports are byte-identical across reruns.
-        let (traced2, obs2) = traced_run();
-        assert_eq!(obs2.chrome_trace_string(), perfetto);
+        let (traced2, obs2, perfetto2) = traced_run();
+        assert_eq!(perfetto2, perfetto);
         assert_eq!(obs2.obs_report(&traced2).to_json(), summary.to_json());
     }
 
-    /// Streaming export and online aggregation on a two-tenant EDF run:
-    /// the streamed trace is byte-identical to the in-memory export, the
-    /// online aggregates equal a recompute from the full retained trace,
-    /// and the ObsReport tenant blocks agree with the aggregation engine.
+    /// Online aggregation on a two-tenant EDF run streamed to a writer:
+    /// the aggregates agree with the report and the ObsReport tenant
+    /// blocks, and no sink drops an event.
     #[test]
-    fn streamed_trace_and_online_aggregates_match_in_memory_recompute() {
-        use recross_obs::agg::Aggregates;
-        use recross_obs::SharedWriter;
-
+    fn online_aggregates_agree_with_the_report() {
         let (trace, plan, mix, requests, cps) = tenant_setup(96, 4_800_000.0, 7);
         let dram = DramConfig::ddr5_4800();
         let cfg = BatcherConfig {
@@ -1001,8 +1000,6 @@ mod tests {
         };
         let make = |_: usize, _: &Trace| CpuBaseline::new(dram.clone());
 
-        // Stream + aggregate live while ALSO retaining the in-memory
-        // buffer, so the same run provides both sides of the comparison.
         let out = SharedWriter::new();
         let mut sessions = open_sessions(&trace, &plan, make);
         let mut obs = ServeObs::new(dram.clone());
@@ -1020,15 +1017,8 @@ mod tests {
             &mut obs,
         );
         obs.finish().unwrap();
-
-        // Byte identity: live-streamed file == in-memory export.
-        assert_eq!(out.contents(), obs.chrome_trace_string());
-
-        // Equivalence: online aggregates == recompute from the full trace.
+        assert!(out.contents().contains("tenant: batch"));
         let live = obs.aggregates().expect("agg enabled");
-        let replayed = Aggregates::from_recorder(obs.recorder());
-        assert_eq!(live, replayed);
-        assert_eq!(live.to_json(), replayed.to_json());
 
         // The aggregation engine's view matches both the report and the
         // ObsReport per-tenant blocks (same evidence, two consumers). The
@@ -1067,9 +1057,11 @@ mod tests {
             &mut plain_sessions,
         );
 
+        let out = SharedWriter::new();
         let mut sessions = open_sessions(&trace, &plan, make);
         let mut obs = ServeObs::new(dram.clone());
         obs.set_dram_trace(false);
+        obs.stream_to(out.clone());
         let traced = simulate_sessions_obs(
             "CPU",
             &trace,
@@ -1084,6 +1076,8 @@ mod tests {
         let summary = obs.obs_report(&traced);
         assert_eq!(summary.lifecycle_spans, traced.requests);
         assert!(summary.channels.iter().all(|c| c.attribution.is_none()));
-        assert!(!obs.chrome_trace_string().contains("bank 0"));
+        obs.finish().unwrap();
+        assert!(out.contents().contains("\"server\""));
+        assert!(!out.contents().contains("bank 0"));
     }
 }

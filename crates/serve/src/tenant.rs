@@ -189,7 +189,9 @@ impl TenantMix {
     ///
     /// # Panics
     ///
-    /// Panics if `classes` is empty or two classes share a name.
+    /// Panics if `classes` is empty, two classes share a name, the shares
+    /// sum to infinity, or a share divided by that sum underflows to zero
+    /// (the class would get no rate).
     pub fn new(classes: Vec<TenantClass>) -> Self {
         assert!(
             !classes.is_empty(),
@@ -200,7 +202,20 @@ impl TenantMix {
                 assert!(a.name != b.name, "duplicate tenant name {:?}", a.name);
             }
         }
-        Self { classes }
+        let mix = Self { classes };
+        let total = mix.total_share();
+        assert!(
+            total.is_finite(),
+            "tenant shares must sum to a finite total"
+        );
+        for c in &mix.classes {
+            assert!(
+                c.share / total > 0.0,
+                "tenant {:?} has a share too small beside the total to get a rate",
+                c.name
+            );
+        }
+        mix
     }
 
     /// The classes, in declaration order (the order tenant indices refer
@@ -387,6 +402,24 @@ mod tests {
         TenantMix::new(vec![
             TenantClass::new("a", 0.5, TenantProcess::Poisson, 100.0, Priority::Normal),
             TenantClass::new("a", 0.5, TenantProcess::Poisson, 100.0, Priority::Normal),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant shares must sum to a finite total")]
+    fn shares_summing_to_infinity_rejected() {
+        TenantMix::new(vec![
+            TenantClass::new("a", 1e308, TenantProcess::Poisson, 100.0, Priority::Normal),
+            TenantClass::new("b", 1e308, TenantProcess::Poisson, 100.0, Priority::Normal),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant \"b\" has a share too small beside the total to get a rate")]
+    fn share_underflowing_to_a_zero_rate_rejected() {
+        TenantMix::new(vec![
+            TenantClass::new("a", 1e308, TenantProcess::Poisson, 100.0, Priority::Normal),
+            TenantClass::new("b", 1e-320, TenantProcess::Poisson, 100.0, Priority::Normal),
         ]);
     }
 

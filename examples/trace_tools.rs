@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
-use recross_obs::{write_chrome_trace, Recorder};
+use recross_obs::{ChromeStreamSink, Recorder};
 use recross_repro::dram::{dram_tracks, record_commands, DramConfig};
 use recross_repro::nmp::accel::EmbeddingAccelerator;
 use recross_repro::nmp::{execute, Prepared, Trim};
@@ -71,17 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "TRiM-G on imported trace: {} cycles, row-hit rate {:.2}",
         report.cycles, report.row_hit_rate
     );
+    let json = dir.join("commands.json");
     let mut rec = Recorder::new();
+    rec.attach(Box::new(ChromeStreamSink::new(
+        BufWriter::new(File::create(&json)?),
+        cfg.cycles_to_ns(1),
+    )));
     let root = rec.track("DRAM channel", None);
     let mut tracks = dram_tracks(&mut rec, root, &cfg);
     let commands = report.commands.expect("commands recorded");
     record_commands(&mut rec, &mut tracks, &cfg, &commands, 0);
-    let json = dir.join("commands.json");
-    write_chrome_trace(
-        &rec,
-        cfg.cycles_to_ns(1),
-        BufWriter::new(File::create(&json)?),
-    )?;
+    rec.finish()?;
     println!(
         "command timeline written to {} (open in Perfetto)",
         json.display()

@@ -97,8 +97,8 @@ impl Write for HashWriter {
     }
 }
 
-/// Streamed, aggregated, unbuffered: the options `repro` uses for a
-/// traced run that writes a timeline file.
+/// Streamed and aggregated, no timeline kept in memory: the options
+/// `repro` uses for a traced run that writes a timeline file.
 fn streaming(w: &HashWriter) -> TraceOptions {
     TraceOptions {
         stream: Some(Box::new(w.clone())),
