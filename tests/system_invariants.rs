@@ -269,19 +269,22 @@ fn real_command_streams_pass_the_timing_checker() {
 /// work per command shows here even when its timing drowns in host noise.
 /// The incremental scheduler re-evaluates about one bank per command (the
 /// full rescan it replaced evaluated every non-empty bank: 23.8 per CPU
-/// command, 36.6 per ReCross command). Each pick walks the banks in floor
-/// order and stops at the first that cannot win, and skips an
-/// activation-only bank whose activation window cannot win, so it
-/// estimates 3.8 candidates per CPU command and 16.0 per ReCross command
-/// (4.4 and 21.3 when every bank below the best was estimated in bank
-/// order).
+/// command, 36.6 per ReCross command). Each pick takes the least key of a
+/// min-tree of per-bank lower bounds and raises it to its bank's exact
+/// estimate until the least bank's key is its estimate; an
+/// activation-only bank's estimate comes from its floor and activation
+/// window, and its candidates are estimated only when it wins. So a pick
+/// estimates 2.7 candidates per CPU command and 3.2 per ReCross command
+/// (3.8 and 16.0 when banks were walked in floor order until the first that
+/// could not win, 4.4 and 21.3 when every bank below the best was estimated
+/// in bank order).
 const WORK_PINS: [(&str, [u64; 4]); 6] = [
-    ("CPU", [4_757, 4_758, 5_911, 18_135]),
-    ("TensorDIMM", [10_580, 7_061, 7_108, 19_021]),
-    ("RecNMP", [3_160, 2_374, 2_370, 46_884]),
-    ("TRiM-G", [7_048, 5_291, 5_302, 21_567]),
-    ("TRiM-B", [7_048, 5_291, 5_301, 18_545]),
-    ("ReCross-d", [4_509, 4_513, 4_509, 71_921]),
+    ("CPU", [4_757, 4_758, 5_911, 12_765]),
+    ("TensorDIMM", [10_580, 7_061, 7_108, 7_057]),
+    ("RecNMP", [3_160, 2_374, 2_370, 19_776]),
+    ("TRiM-G", [7_048, 5_291, 5_302, 6_085]),
+    ("TRiM-B", [7_048, 5_291, 5_301, 5_287]),
+    ("ReCross-d", [4_509, 4_513, 4_509, 14_437]),
 ];
 
 #[test]
