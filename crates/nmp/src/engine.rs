@@ -143,10 +143,14 @@ pub struct Prepared {
 /// Executes `plans` (one per lookup, in trace order) and assembles the
 /// report.
 ///
+/// Debug builds record every command stream and replay it through the
+/// independent checker [`recross_dram::check::check_trace`].
+///
 /// # Panics
 ///
 /// Panics if `plans` length mismatches the trace's lookups, or the plan
-/// contains invalid addresses.
+/// contains invalid addresses; in debug builds, also if the command stream
+/// breaks a DRAM timing rule.
 pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunReport {
     let total_lookups: usize = trace.lookups();
     assert_eq!(plans.len(), total_lookups, "one plan per lookup");
@@ -155,7 +159,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
     if cfg.host {
         ctl = ctl.with_global_window(HOST_QUEUE);
     }
-    if cfg.trace_commands {
+    if cfg.trace_commands || cfg!(debug_assertions) {
         ctl.record_trace();
     }
     let mut inst_bus = (!cfg.host).then(|| {
@@ -312,6 +316,19 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
         })
         .collect();
 
+    let commands = ctl.trace();
+    #[cfg(debug_assertions)]
+    if let Some(commands) = &commands {
+        let violations =
+            recross_dram::check::check_trace(cfg.dram.topology, cfg.dram.timing, commands);
+        assert!(
+            violations.is_empty(),
+            "{}: {} timing violations, the first: {}",
+            cfg.name,
+            violations.len(),
+            violations[0]
+        );
+    }
     let stats = ctl.stats();
     let counters = stats.energy;
     RunReport {
@@ -328,7 +345,7 @@ pub fn execute(cfg: &EngineConfig, trace: &Trace, plans: &[LookupPlan]) -> RunRe
         cache_hits,
         op_latency: crate::accel::LatencySummary::from_latencies(&op_latencies),
         batch_latency: crate::accel::LatencySummary::from_latencies(&batch_latencies),
-        commands: ctl.trace(),
+        commands: commands.filter(|_| cfg.trace_commands),
         work: stats.work,
     }
 }
